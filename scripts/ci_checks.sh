@@ -16,6 +16,13 @@ echo "== fault-injection chaos pytest (REPRO_FAULTS=chaos-1234) =="
 REPRO_FAULTS=chaos-1234 REPRO_HANG_SECONDS=2 python -m pytest -x -q
 
 echo
+echo "== e2e benchmark harness (golden outputs + paper-shape checks) =="
+# Smoke-scale runs of the four benchmark workloads must pass their
+# paper-shape and agreement checks; the golden-file comparison and the
+# trace ledger are tested too.
+python -m pytest benchmarks/e2e -q
+
+echo
 echo "== repro.qa.astlint over src =="
 python -m repro.qa.astlint src
 

@@ -16,8 +16,11 @@ accept a solution whose residual against the *original* matrix passes
 the policy tolerance, so a genuinely singular, inconsistent system still
 raises :class:`SingularCircuitError` no matter how far the chain runs.
 
-Two further pieces serve the sweep engines:
+Three further pieces serve the sweep engines:
 
+* **static condensation** (:func:`condense`): unknowns with a diagonal
+  G block and no C entries are eliminated once per sweep, so every
+  point factors only the remaining system;
 * the **matrix-free Krylov tier**: an :class:`OperatorSystem` wraps
   ``A = G + sigma C`` as a matvec plus a sparse near-field surrogate of
   ``A``; handing one to :class:`ResilientFactorization` prepends a
@@ -138,6 +141,46 @@ def add_gmin(g_matrix, num_nodes: int, gmin: float):
     return g
 
 
+def condense(
+    g_matrix: np.ndarray, c_matrix: np.ndarray, internal
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statically condense unknowns out of a dense ``G + s C`` system.
+
+    The ``internal`` unknowns must have a diagonal, nonsingular block D
+    of G and empty rows and columns in C (the series nodes of
+    :meth:`~repro.circuit.mna.MNASystem.series_nodes`).  Their Schur
+    correction ``G_BB - G_BI D^-1 G_IB`` then does not depend on ``s``,
+    so for every ``s`` and every right-hand side with ``b_I = 0`` the
+    remaining unknowns solve ``(G' + s C_BB) x_B = b_B`` exactly.
+
+    Returns:
+        ``(G', C_BB, keep)`` where ``keep`` holds the sorted indices of
+        the remaining unknowns in the full system.
+    """
+    internal = np.asarray(internal, dtype=np.intp)
+    mask = np.ones(g_matrix.shape[0], dtype=bool)
+    mask[internal] = False
+    keep = np.flatnonzero(mask)
+    if internal.size == 0:
+        return g_matrix, c_matrix, keep
+    d = g_matrix[internal, internal]
+    if (
+        np.count_nonzero(g_matrix[np.ix_(internal, internal)])
+        != internal.size or not np.all(d != 0.0)
+    ):
+        raise ValueError(
+            "condensed unknowns need a nonsingular diagonal G block"
+        )
+    if np.any(c_matrix[internal]) or np.any(c_matrix[:, internal]):
+        raise ValueError("condensed unknowns must have no C entries")
+    # G_BI has a few entries per column (a resistor end, a branch row):
+    # as sparse, the product costs O(nnz * |keep|), not a dense GEMM.
+    g_bi = sp.csr_matrix(g_matrix[np.ix_(keep, internal)] / d)
+    g_ib = g_matrix[np.ix_(internal, keep)]
+    g_bb = g_matrix[np.ix_(keep, keep)] - g_bi @ g_ib
+    return g_bb, c_matrix[np.ix_(keep, keep)], keep
+
+
 def _max_abs(matrix) -> float:
     if sp.issparse(matrix):
         data = matrix.tocoo().data
@@ -222,6 +265,22 @@ class OperatorSystem:
         )
 
 
+def _finish(site_r: str, x: np.ndarray) -> np.ndarray:
+    """A rung's solution, after fault injection and the finiteness check.
+
+    A module function, not a method: the rung closures that call it are
+    stored on their :class:`ResilientFactorization`, and a closure over
+    ``self`` would make a reference cycle that keeps every factorization
+    alive until the cyclic garbage collector runs.
+    """
+    x = faults.corrupt_solution(site_r, x)
+    if not np.all(np.isfinite(x)):
+        raise SingularCircuitError(
+            f"solve at {site_r} produced non-finite values"
+        )
+    return x
+
+
 class ResilientFactorization:
     """The escalation chain: LU -> equilibrated LU -> gmin -> lstsq.
 
@@ -290,14 +349,6 @@ class ResilientFactorization:
         if rung == "lstsq":
             return self._prepare_lstsq(site_r, matrix)
         raise ValueError(f"unknown escalation rung {rung!r}")
-
-    def _finish(self, site_r: str, x: np.ndarray) -> np.ndarray:
-        x = faults.corrupt_solution(site_r, x)
-        if not np.all(np.isfinite(x)):
-            raise SingularCircuitError(
-                f"solve at {site_r} produced non-finite values"
-            )
-        return x
 
     def _materialize_operator(self, rung: str) -> np.ndarray:
         """Dense fallback of an operator system, built at most once.
@@ -421,7 +472,7 @@ class ResilientFactorization:
                     restart=restart, maxiter=cycles, M=m_op,
                     callback=_count, callback_type="pr_norm",
                 )
-                x = self._finish(site_r, x)
+                x = _finish(site_r, x)
                 error = backward_error(x, b_arr)
                 if error <= policy.krylov_residual_tol:
                     obs_metrics.counter(
@@ -443,7 +494,7 @@ class ResilientFactorization:
         self._cond = factor.condition_estimate
 
         def run(b: np.ndarray):
-            return self._finish(site_r, factor.solve(b)), None
+            return _finish(site_r, factor.solve(b)), None
 
         return run
 
@@ -474,7 +525,7 @@ class ResilientFactorization:
 
         def run(b: np.ndarray):
             y = factor.solve(np.asarray(b) / row)
-            return self._finish(site_r, y / col), None
+            return _finish(site_r, y / col), None
 
         return run
 
@@ -483,10 +534,11 @@ class ResilientFactorization:
         against the original matrix; accepted only below the policy's
         residual tolerance, so the shift cannot smuggle in a wrong
         answer."""
+        policy = self.policy
         diag = matrix.diagonal()
         scale = float(np.abs(diag).max(initial=0.0)) or _max_abs(matrix) or 1.0
         factor = None
-        for shift in self.policy.gmin_shifts:
+        for shift in policy.gmin_shifts:
             shifted = matrix + _identity_like(matrix, shift * scale)
             try:
                 factor = Factorization(shifted)
@@ -495,7 +547,7 @@ class ResilientFactorization:
                 continue
         if factor is None:
             raise SingularCircuitError(
-                f"gmin rung: no diagonal shift in {self.policy.gmin_shifts} "
+                f"gmin rung: no diagonal shift in {policy.gmin_shifts} "
                 "produced a factorable matrix"
             )
         self._cond = factor.condition_estimate
@@ -503,14 +555,14 @@ class ResilientFactorization:
 
         def run(b: np.ndarray):
             x = factor.solve(b)
-            for _ in range(self.policy.refine_iters):
+            for _ in range(policy.refine_iters):
                 x = x + factor.solve(b - original @ x)
-            x = self._finish(site_r, x)
+            x = _finish(site_r, x)
             residual = _relative_residual(original, x, b)
-            if residual > self.policy.residual_tol:
+            if residual > policy.residual_tol:
                 raise SingularCircuitError(
                     f"gmin rung residual {residual:.3e} exceeds tolerance "
-                    f"{self.policy.residual_tol:.1e}; the system is "
+                    f"{policy.residual_tol:.1e}; the system is "
                     "inconsistent, not merely ill-conditioned"
                 )
             return x, residual
@@ -541,6 +593,7 @@ class ResilientFactorization:
             a = np.asarray(matrix.todense())  # qa: ignore[QA208]
         else:
             a = np.asarray(matrix)
+        policy = self.policy
         gram = a.conj().T @ a
         lam = 1e-12 * max(float(np.abs(np.diagonal(gram)).max(initial=0.0)), 1e-300)
         factor = Factorization(gram + lam * np.eye(a.shape[0], dtype=gram.dtype))
@@ -548,12 +601,12 @@ class ResilientFactorization:
 
         def run(b: np.ndarray):
             x = factor.solve(a.conj().T @ np.asarray(b))
-            x = self._finish(site_r, x)
+            x = _finish(site_r, x)
             residual = _relative_residual(a, x, b)
-            if residual > self.policy.lstsq_tol:
+            if residual > policy.lstsq_tol:
                 raise SingularCircuitError(
                     f"regularized-lstsq residual {residual:.3e} exceeds "
-                    f"tolerance {self.policy.lstsq_tol:.1e}; refusing the "
+                    f"tolerance {policy.lstsq_tol:.1e}; refusing the "
                     "least-squares pseudo-solution of an inconsistent system"
                 )
             return x, residual

@@ -23,6 +23,8 @@ OperatorStampedMatrix` C that applies the compressed blocks through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,6 +130,64 @@ class MNASystem:
     def has_devices(self) -> bool:
         """True when nonlinear devices are present."""
         return bool(self._devices)
+
+    def series_nodes(self, exclude: Iterable[int] = ()) -> np.ndarray:
+        """Node unknowns that only put a resistor in series with an inductor.
+
+        A series node carries exactly one resistor terminal and one
+        inductive-branch terminal (a scalar inductor or an
+        :class:`~repro.circuit.elements.InductorSet` branch) and nothing
+        else: no capacitor, source, K-set, macromodel, device or operator
+        set.  Nodes in ``exclude`` (ports) never qualify, and a node whose
+        resistor leads to an already chosen series node is skipped.  So
+        the chosen nodes' block of G is diagonal and their rows and
+        columns of C are empty -- the frequency-independent block that
+        :func:`repro.circuit.linalg.condense` eliminates.
+
+        Returns:
+            Sorted node indices.
+        """
+        circuit = self.circuit
+        ni = circuit.node_index
+        resistors = np.zeros(self.n, dtype=int)
+        inductive = np.zeros(self.n, dtype=int)
+        partner = np.full(self.n, -1)
+        blocked = np.zeros(self.n, dtype=bool)
+        for r in circuit.resistors:
+            a, b = ni(r.n1), ni(r.n2)
+            for node, other in ((a, b), (b, a)):
+                if node >= 0:
+                    resistors[node] += 1
+                    partner[node] = other
+        for pair in chain(
+            ((ind.n1, ind.n2) for ind in circuit.inductors),
+            (br for lset in circuit.inductor_sets for br in lset.branches),
+        ):
+            for name in pair:
+                if ni(name) >= 0:
+                    inductive[ni(name)] += 1
+        for names in chain(
+            ((cap.n1, cap.n2) for cap in circuit.capacitors),
+            (br for s in circuit.operator_sets for br in s.branches),
+            (br for s in circuit.k_sets for br in s.branches),
+            (port for mm in circuit.macromodels for port in mm.ports),
+            ((s.n_plus, s.n_minus)
+             for s in chain(circuit.vsources, circuit.isources)),
+            (dev.nodes for dev in circuit.devices),
+        ):
+            for name in names:
+                if ni(name) >= 0:
+                    blocked[ni(name)] = True
+        for node in exclude:
+            if node >= 0:
+                blocked[node] = True
+        chosen = np.zeros(self.n, dtype=bool)
+        for node in np.flatnonzero(
+            (resistors == 1) & (inductive == 1) & ~blocked
+        ):
+            if partner[node] < 0 or not chosen[partner[node]]:
+                chosen[node] = True
+        return np.flatnonzero(chosen)
 
     # -- matrix assembly -------------------------------------------------------
 

@@ -236,6 +236,14 @@ def _sweep_impedance(
     (``"loop.freq"`` fault site) and completed points are periodically
     snapshotted, so a killed sweep resumes instead of restarting.
 
+    A dense system first has its series nodes -- the filament midpoints
+    that put each R in series with its L -- condensed out
+    (:meth:`~repro.circuit.mna.MNASystem.series_nodes`,
+    :func:`~repro.circuit.linalg.condense`).  Their Schur correction
+    does not depend on frequency, so it is formed once and every point
+    factors only the remaining unknowns; the ``loop.sweep`` span records
+    both sizes (``mna_size``, ``solve_size``).
+
     With ``workers > 1`` the remaining points fan out over a process
     pool (:mod:`repro.perf.parallel`); results are placed by index so
     the impedance array is bit-identical to the serial sweep, and
@@ -243,163 +251,181 @@ def _sweep_impedance(
     ``checkpoint.interval`` granularity.
     """
     from repro.circuit.linalg import (
-        ResilientFactorization, SweepAssembler, add_gmin,
+        ResilientFactorization, SweepAssembler, add_gmin, condense,
     )
     from repro.circuit.mna import MNASystem
 
-    system = MNASystem(circuit)
-    g_matrix, c_matrix = system.build_matrices()
-    g_matrix = add_gmin(g_matrix, system.n, gmin)
-    b = np.zeros(system.size, dtype=complex)
-    i_plus = system.node_index(port_nodes[0])
-    i_minus = system.node_index(port_nodes[1])
-    if i_plus >= 0:
-        b[i_plus] += 1.0
-    if i_minus >= 0:
-        b[i_minus] -= 1.0
-
-    z = np.zeros(len(freqs), dtype=complex)
-    done = np.zeros(len(freqs), dtype=bool)
-
-    fingerprint = {
-        "size": int(system.size),
-        "num_freqs": int(len(freqs)),
-        "f_min": float(freqs.min()),
-        "f_max": float(freqs.max()),
-        "gmin": float(gmin),
-        "port": list(port_nodes),
-    }
-    if checkpoint is not None and checkpoint.resume and checkpoint.path.exists():
-        snap = load_checkpoint(checkpoint.path)
-        verify_fingerprint(snap, "loop-sweep", fingerprint, checkpoint.path)
-        if not np.allclose(snap.arrays["frequencies"], freqs):
-            from repro.resilience.checkpoint import CheckpointMismatch
-
-            raise CheckpointMismatch(
-                f"{checkpoint.path}: checkpointed frequency grid differs"
+    with span(
+        "loop.sweep", points=len(freqs),
+        filaments=circuit.num_inductor_branches,
+    ) as sweep_span:
+        system = MNASystem(circuit)
+        g_matrix, c_matrix = system.build_matrices()
+        g_matrix = add_gmin(g_matrix, system.n, gmin)
+        i_plus = system.node_index(port_nodes[0])
+        i_minus = system.node_index(port_nodes[1])
+        if isinstance(g_matrix, np.ndarray):
+            internal = system.series_nodes(exclude=(i_plus, i_minus))
+            g_matrix, c_matrix, keep = condense(g_matrix, c_matrix, internal)
+            # Ports are never condensed; renumber them into the kept set.
+            i_plus, i_minus = (
+                int(np.searchsorted(keep, i)) if i >= 0 else -1
+                for i in (i_plus, i_minus)
             )
-        z = np.asarray(snap.arrays["z"], dtype=complex)
-        done = np.asarray(snap.arrays["done"], dtype=bool)
-        report.record_resume(
-            "loop",
-            f"resumed from {checkpoint.path}: "
-            f"{int(done.sum())}/{len(freqs)} frequencies already solved",
-        )
+        size = g_matrix.shape[0]
+        sweep_span.attrs.update(mna_size=system.size, solve_size=size)
+        b = np.zeros(size, dtype=complex)
+        if i_plus >= 0:
+            b[i_plus] += 1.0
+        if i_minus >= 0:
+            b[i_minus] -= 1.0
 
-    def save(reason: str) -> None:
-        meta = {
-            "fingerprint": fingerprint,
-            "reason": reason,
-            "args": {"gmin": float(gmin), "port": list(port_nodes)},
+        z = np.zeros(len(freqs), dtype=complex)
+        done = np.zeros(len(freqs), dtype=bool)
+
+        fingerprint = {
+            "size": int(system.size),
+            "num_freqs": int(len(freqs)),
+            "f_min": float(freqs.min()),
+            "f_max": float(freqs.max()),
+            "gmin": float(gmin),
+            "port": list(port_nodes),
         }
-        deck = _loop_deck(circuit)
-        if deck is not None:
-            meta["deck"] = deck
-        save_checkpoint(
-            checkpoint.path, "loop-sweep", meta,
-            {"frequencies": freqs, "z": z, "done": done},
-        )
-        report.record_checkpoint(
-            "loop",
-            f"{int(done.sum())}/{len(freqs)} frequencies -> "
-            f"{checkpoint.path} ({reason})",
-        )
+        if (checkpoint is not None and checkpoint.resume
+                and checkpoint.path.exists()):
+            snap = load_checkpoint(checkpoint.path)
+            verify_fingerprint(
+                snap, "loop-sweep", fingerprint, checkpoint.path
+            )
+            if not np.allclose(snap.arrays["frequencies"], freqs):
+                from repro.resilience.checkpoint import CheckpointMismatch
 
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
-    )
-
-    num_workers = worker_count(workers)
-    if num_workers > 1 and int((~done).sum()) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    ):
-        spec = SweepSpec(
-            g_matrix=g_matrix,
-            c_matrix=c_matrix,
-            b=b,
-            site="loop",
-            retry_site="loop.freq",
-            policy=policy,
-            port=(i_plus, i_minus),
-        )
-        since = 0
-
-        def on_chunk(idx: np.ndarray) -> None:
-            nonlocal since
-            done[idx] = True
-            since += len(idx)
-            if (
-                checkpoint is not None
-                and since >= checkpoint.interval
-                and not done.all()
-            ):
-                save("periodic")
-                since = 0
-
-        with activate(report):
-            try:
-                parallel_sweep(
-                    spec, freqs, z,
-                    indices=np.nonzero(~done)[0],
-                    workers=num_workers,
-                    chunk=checkpoint.interval if checkpoint is not None else None,
-                    report=report,
-                    on_chunk=on_chunk,
+                raise CheckpointMismatch(
+                    f"{checkpoint.path}: checkpointed frequency grid differs"
                 )
-            except (SingularCircuitError, InjectedFault):
-                if checkpoint is not None:
-                    save("emergency: parallel sweep failed")
-                raise
+            z = np.asarray(snap.arrays["z"], dtype=complex)
+            done = np.asarray(snap.arrays["done"], dtype=bool)
+            report.record_resume(
+                "loop",
+                f"resumed from {checkpoint.path}: "
+                f"{int(done.sum())}/{len(freqs)} frequencies already solved",
+            )
+
+        def save(reason: str) -> None:
+            meta = {
+                "fingerprint": fingerprint,
+                "reason": reason,
+                "args": {"gmin": float(gmin), "port": list(port_nodes)},
+            }
+            deck = _loop_deck(circuit)
+            if deck is not None:
+                meta["deck"] = deck
+            save_checkpoint(
+                checkpoint.path, "loop-sweep", meta,
+                {"frequencies": freqs, "z": z, "done": done},
+            )
+            report.record_checkpoint(
+                "loop",
+                f"{int(done.sum())}/{len(freqs)} frequencies -> "
+                f"{checkpoint.path} ({reason})",
+            )
+
+        from repro.perf.parallel import (
+            MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
+            worker_count,
+        )
+
+        num_workers = worker_count(workers)
+        if num_workers > 1 and int((~done).sum()) > 1 and (
+            explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
+        ):
+            spec = SweepSpec(
+                g_matrix=g_matrix,
+                c_matrix=c_matrix,
+                b=b,
+                site="loop",
+                retry_site="loop.freq",
+                policy=policy,
+                port=(i_plus, i_minus),
+            )
+            since = 0
+
+            def on_chunk(idx: np.ndarray) -> None:
+                nonlocal since
+                done[idx] = True
+                since += len(idx)
+                if (
+                    checkpoint is not None
+                    and since >= checkpoint.interval
+                    and not done.all()
+                ):
+                    save("periodic")
+                    since = 0
+
+            with activate(report):
+                try:
+                    parallel_sweep(
+                        spec, freqs, z,
+                        indices=np.nonzero(~done)[0],
+                        workers=num_workers,
+                        chunk=(checkpoint.interval
+                               if checkpoint is not None else None),
+                        report=report,
+                        on_chunk=on_chunk,
+                    )
+                except (SingularCircuitError, InjectedFault):
+                    if checkpoint is not None:
+                        save("emergency: parallel sweep failed")
+                    raise
+            finish_checkpoint(checkpoint)
+            return z
+
+        since_checkpoint = 0
+        # Union pattern (or operator system) assembled once up front; each
+        # frequency point only writes a fresh data vector / builds a thin
+        # OperatorSystem around the shared preconditioner pattern.
+        assembler = SweepAssembler(g_matrix, c_matrix)
+        with activate(report):
+            for i, f in enumerate(freqs):
+                if done[i]:
+                    continue
+                omega = 2.0 * np.pi * f
+                a_matrix = assembler.at_omega(omega)
+                retries = 0
+                while True:
+                    try:
+                        faults.maybe_fail("loop.freq")
+                        x = ResilientFactorization(
+                            a_matrix, site="loop", policy=policy
+                        ).solve(b)
+                        break
+                    except (SingularCircuitError, InjectedFault) as exc:
+                        if retries < policy.max_retries:
+                            retries += 1
+                            report.record_retry(
+                                "loop",
+                                f"f = {f:.4g} Hz: retry "
+                                f"{retries}/{policy.max_retries}: {exc}",
+                            )
+                            continue
+                        if checkpoint is not None:
+                            save(f"emergency: f = {f:.4g} Hz failed")
+                        raise
+                vp = x[i_plus] if i_plus >= 0 else 0.0
+                vm = x[i_minus] if i_minus >= 0 else 0.0
+                z[i] = vp - vm
+                done[i] = True
+                since_checkpoint += 1
+                if (
+                    checkpoint is not None
+                    and since_checkpoint >= checkpoint.interval
+                    and not done.all()
+                ):
+                    save("periodic")
+                    since_checkpoint = 0
+
         finish_checkpoint(checkpoint)
         return z
-
-    since_checkpoint = 0
-    # Union pattern (or operator system) assembled once up front; each
-    # frequency point only writes a fresh data vector / builds a thin
-    # OperatorSystem around the shared preconditioner pattern.
-    assembler = SweepAssembler(g_matrix, c_matrix)
-    with activate(report):
-        for i, f in enumerate(freqs):
-            if done[i]:
-                continue
-            omega = 2.0 * np.pi * f
-            a_matrix = assembler.at_omega(omega)
-            retries = 0
-            while True:
-                try:
-                    faults.maybe_fail("loop.freq")
-                    x = ResilientFactorization(
-                        a_matrix, site="loop", policy=policy
-                    ).solve(b)
-                    break
-                except (SingularCircuitError, InjectedFault) as exc:
-                    if retries < policy.max_retries:
-                        retries += 1
-                        report.record_retry(
-                            "loop",
-                            f"f = {f:.4g} Hz: retry "
-                            f"{retries}/{policy.max_retries}: {exc}",
-                        )
-                        continue
-                    if checkpoint is not None:
-                        save(f"emergency: f = {f:.4g} Hz failed")
-                    raise
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            z[i] = vp - vm
-            done[i] = True
-            since_checkpoint += 1
-            if (
-                checkpoint is not None
-                and since_checkpoint >= checkpoint.interval
-                and not done.all()
-            ):
-                save("periodic")
-                since_checkpoint = 0
-
-    finish_checkpoint(checkpoint)
-    return z
 
 
 def _loop_deck(circuit: Circuit) -> str | None:
@@ -510,11 +536,10 @@ def extract_loop_impedance(
 
     policy = policy or default_policy()
     report = current_run_report() or RunReport()
-    with span("loop.sweep", points=len(freqs), filaments=num_filaments):
-        z = _sweep_impedance(
-            circuit, freqs, (sig_node, ref_node), 1e-12, policy, checkpoint,
-            report, workers=workers,
-        )
+    z = _sweep_impedance(
+        circuit, freqs, (sig_node, ref_node), 1e-12, policy, checkpoint,
+        report, workers=workers,
+    )
     return LoopExtractionResult(
         frequencies=freqs, impedance=z, num_filaments=num_filaments,
         report=report,

@@ -34,6 +34,7 @@ from repro.geometry.segment import Direction
 from repro.loop.extractor import extract_loop_impedance
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.resilience.faults import InjectedFault
 from repro.resilience.report import RunReport, activate
 from repro.scenarios.spec import SPARSIFIER_FACTORIES, Scenario
 from repro.scenarios.variants import build_variant
@@ -69,8 +70,11 @@ def _sparsify_metrics(sc: Scenario, layout, report: RunReport) -> dict:
     metrics: dict = {"sparsify_mutuals_total": int(extraction.num_mutuals)}
     try:
         blocks = traced_apply(sparsifier, extraction)
-    except ValueError as exc:
-        # A refused matrix (truncation guard, K-matrix passivity check)
+    except InjectedFault:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        # A refused matrix (truncation guard, K-matrix passivity check,
+        # a halo/shell/K-matrix result that lost positive definiteness)
         # is a per-scenario degradation: the dense model stands in.
         report.record_downgrade(
             "sweep", f"sparsifier {sc.sparsifier}", "dense", str(exc)

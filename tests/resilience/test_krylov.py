@@ -248,3 +248,48 @@ class TestLstsqSizeGuard:
         with inject_faults():
             x = resilient_solve(a, b, site="t", policy=FULL)
         assert np.allclose((a @ x)[0], 1.0, rtol=1e-6)
+
+
+class TestFactorizationLifetime:
+    """A dropped ResilientFactorization frees its factor without the
+    cyclic garbage collector: the rung closure it stores must not refer
+    back to it."""
+
+    @staticmethod
+    def _solve_and_drop(matrix, b):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            with inject_faults():
+                rf = ResilientFactorization(matrix, site="t", policy=SAFE)
+                rf.solve(b)
+            refs = [weakref.ref(rf), weakref.ref(rf._solver)]
+            del rf
+            return [ref() is None for ref in refs]
+        finally:
+            gc.enable()
+
+    def test_lu_rung_factor_is_freed(self, monkeypatch):
+        import weakref
+
+        from repro.circuit import linalg
+
+        made = []
+
+        class Tracked(linalg.Factorization):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(linalg, "Factorization", Tracked)
+        a, b = _dense_system()
+        freed = self._solve_and_drop(a, b)
+        assert made and all(ref() is None for ref in made)
+        assert all(freed)
+
+    def test_krylov_rung_closure_is_freed(self):
+        a, b = _dense_system(n=40)
+        assert all(self._solve_and_drop(_operator_system(a, 5), b))

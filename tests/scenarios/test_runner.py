@@ -74,6 +74,31 @@ class TestEvaluateScenario:
         # the transient metrics still landed
         assert record["metrics"]["delay"] > 0
 
+    def test_positive_definiteness_refusal_degrades_not_fails(self):
+        # The halo sparsifier raises RuntimeError on interdigitated lines:
+        # the power grid is too sparse to bound the halos.
+        sc = Scenario(variant="interdigitated", sparsifier="halo", **CHEAP)
+        with inject_faults():
+            record = evaluate_scenario(sc)
+        assert record["status"] == "ok"
+        assert record["metrics"]["sparsify_degraded"] is True
+        downgrades = [n for n in record["notes"] if n["kind"] == "downgrade"]
+        assert downgrades
+        assert "positive definiteness" in downgrades[0]["detail"]
+
+    def test_injected_fault_in_sparsifier_still_fails(self, monkeypatch):
+        from repro.resilience.faults import InjectedFault
+
+        def inject(sparsifier, extraction):
+            raise InjectedFault("injected at sparsify")
+
+        monkeypatch.setattr(runner_mod, "traced_apply", inject)
+        sc = Scenario(variant="baseline", sparsifier="truncation", **CHEAP)
+        with inject_faults():
+            record = evaluate_scenario(sc)
+        assert record["status"] == "failed"
+        assert "injected at sparsify" in record["error"]
+
     def test_loop_values_match_direct_extraction(self):
         from repro.loop.extractor import extract_loop_impedance
         from repro.scenarios.runner import MAX_SEGMENT_LENGTH
