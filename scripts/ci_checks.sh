@@ -40,7 +40,7 @@ echo "== repro check over the examples =="
 python -m repro.cli check examples/*.py
 
 echo
-echo "== repro trace smoke (span tree must be complete) =="
+echo "== repro trace smoke (span tree complete, root spans cover >= 95% of the flow) =="
 python -m repro.cli trace --die 250 --json /tmp/trace_ci_smoke.json
 
 echo
@@ -67,7 +67,10 @@ echo
 echo "== iterative-vs-dense smoke gate (matrix-free solve path) =="
 # The Krylov tier must solve the hierarchical extraction without ever
 # materializing L (to_dense_calls == 0) and without falling back to the
-# dense direct rung, while matching the dense sweep to 1e-6.
+# dense direct rung, while matching the dense sweep to 1e-6.  The
+# near-field preconditioner must keep GMRES to at most 30 iterations per
+# solve on average (a repeatable count, not a timing): a weaker one
+# would only slow the sweep, never fail it.
 python - <<'PY'
 import json
 it = json.load(open("/tmp/bench_ci_smoke.json"))["sections"]["solve_iterative"]
@@ -77,8 +80,12 @@ assert it["to_dense_calls"] == 0, \
     f"hierarchical operator densified {it['to_dense_calls']} time(s)"
 assert it["krylov_fallbacks"] == 0, \
     f"{it['krylov_fallbacks']} Krylov solve(s) fell back to dense direct"
+assert it["krylov_iterations"] <= 30 * it["krylov_solves"], \
+    (f"{it['krylov_iterations']} GMRES iterations over "
+     f"{it['krylov_solves']} solves exceeds 30 per solve")
 print(f"solve_iterative smoke: err={it['max_rel_error']:.2e} "
       f"gmres_iters={it['krylov_iterations']} "
+      f"solves={it['krylov_solves']} "
       f"operator_bytes={it['operator_bytes']}")
 PY
 

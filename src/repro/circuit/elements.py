@@ -133,10 +133,8 @@ class OperatorInductorSet:
             n1 -> n2.
         operator: Object exposing ``shape`` (square, matching the branch
             count), ``matvec(x)``, ``to_dense()``, ``diag`` (the
-            self-inductance diagonal [H]), ``near_block_diagonal()``
-            (sparse exact near field, the Krylov preconditioner seed),
-            and ``far_lowrank()`` (global ``(U, V)`` factors of the
-            compressed far field).
+            self-inductance diagonal [H]), and ``near_block_diagonal()``
+            (sparse exact near field, the Krylov preconditioner seed).
     """
 
     name: str
@@ -146,7 +144,7 @@ class OperatorInductorSet:
     def __post_init__(self) -> None:
         op = self.operator
         for attr in ("shape", "matvec", "to_dense", "diag",
-                     "near_block_diagonal", "far_lowrank"):
+                     "near_block_diagonal"):
             if not hasattr(op, attr):
                 raise ValueError(
                     f"operator inductor set {self.name}: operator lacks "

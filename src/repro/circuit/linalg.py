@@ -48,6 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.faults import InjectedFault
 from repro.resilience.policy import ResiliencePolicy, default_policy
@@ -220,14 +221,8 @@ class OperatorSystem:
         matvec: Apply ``A`` to a vector (complex-safe).
         precond: Sparse surrogate of ``A`` -- the sparse stamps plus the
             operators' exact near field (block diagonal and the exact
-            off-diagonal blocks) -- cheap to factor with ``splu``.
-        lowrank: Optional ``(U, V)`` global low-rank factors of the
-            compressed far field, already scaled by the sweep point's
-            ``sigma``, such that ``A == precond + U @ V`` exactly (up to
-            the ACA tolerance baked into the factors).  The Krylov rung
-            folds them into the preconditioner with the Woodbury
-            identity, making it an exact direct solve of ``A`` and GMRES
-            a residual-polishing loop of a handful of iterations.
+            off-diagonal blocks) -- cheap to factor with ``splu``.  The
+            compressed far field is left to ``matvec``.
         materialize: Build the dense ``A`` -- called at most once, only
             when the Krylov rung fails and the chain falls back to the
             direct rungs.
@@ -243,11 +238,9 @@ class OperatorSystem:
         materialize: Callable[[], np.ndarray],
         shape: tuple[int, int],
         dtype,
-        lowrank: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self._matvec = matvec
         self.precond = precond
-        self.lowrank = lowrank
         self.materialize = materialize
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
@@ -373,11 +366,13 @@ class ResilientFactorization:
     def _prepare_krylov(self, site_r: str, system):
         """Preconditioned GMRES over the matrix-free operator.
 
-        The preconditioner factors the sparse near field with ``splu``
-        and, when the system carries global low-rank far-field factors,
-        folds them in with the Woodbury identity -- making the
-        preconditioner an exact solve of ``A`` up to rounding, so GMRES
-        is a residual-polishing loop of a handful of iterations.
+        The preconditioner is ``splu`` of the sparse near field
+        ``G + sigma * near``, factored once per system; the compressed
+        far field enters only through the operator matvec, and GMRES
+        pays for it in iterations.  The factorization runs
+        under a ``solver.krylov.setup`` span and every solve under a
+        ``solver.krylov.gmres`` span carrying its iteration count and
+        backward error.
 
         Acceptance is on the normwise *backward error*
         ``max|Ax - b| / (max|A| max|x| + max|b|)`` computed with a true
@@ -392,58 +387,40 @@ class ResilientFactorization:
                 f"krylov rung at {site_r} requires an OperatorSystem input"
             )
         policy = self.policy
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sla.LinAlgWarning)
-                m_factor = spla.splu(system.precond.tocsc())
-        except (RuntimeError, ValueError, np.linalg.LinAlgError,
-                sla.LinAlgWarning) as exc:
-            raise SingularCircuitError(
-                f"krylov preconditioner factorization failed: {exc}"
-            ) from exc
+        n = system.shape[0]
+        with span(
+            "solver.krylov.setup", size=n, precond_nnz=int(system.precond.nnz)
+        ) as setup_span:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", sla.LinAlgWarning)
+                    m_factor = spla.splu(system.precond.tocsc())
+            except (RuntimeError, ValueError, np.linalg.LinAlgError,
+                    sla.LinAlgWarning) as exc:
+                raise SingularCircuitError(
+                    f"krylov preconditioner factorization failed: {exc}"
+                ) from exc
+            setup_span.attrs["factor_nnz"] = int(m_factor.nnz)
         u_diag = np.abs(m_factor.U.diagonal())
         smallest = float(u_diag.min()) if u_diag.size else 1.0
         self._cond = (
             float(u_diag.max()) / smallest if smallest > 0.0 else np.inf
         )
-        n = system.shape[0]
         precond_scale = (
             float(np.abs(system.precond.data).max())
             if system.precond.nnz else 1.0
         )
-        if system.lowrank is not None and system.lowrank[0].shape[1] > 0:
-            # Woodbury: (A0 + U V)^-1 = A0^-1 - Z (I + V Z)^-1 V A0^-1
-            # with Z = A0^-1 U.  K = rank(far field) is small, so the
-            # K-column solve and the dense K x K factor are cheap.
-            u_fac, v_fac = system.lowrank
-            try:
-                z_cols = m_factor.solve(
-                    np.asarray(u_fac, dtype=system.dtype, order="F")
-                )
-                cap = np.eye(u_fac.shape[1], dtype=system.dtype) + \
-                    v_fac @ z_cols
-                cap_factor = sla.lu_factor(cap)
-            except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-                raise SingularCircuitError(
-                    f"krylov Woodbury capacitance factorization failed: {exc}"
-                ) from exc
-
-            def m_solve(r: np.ndarray) -> np.ndarray:
-                x0 = m_factor.solve(np.asarray(r, dtype=system.dtype))
-                return x0 - z_cols @ sla.lu_solve(cap_factor, v_fac @ x0)
-        else:
-            m_solve = m_factor.solve
         a_op = spla.LinearOperator(
             system.shape, matvec=system.matvec, dtype=system.dtype
         )
         m_op = spla.LinearOperator(
-            system.shape, matvec=m_solve, dtype=system.dtype
+            system.shape, matvec=m_factor.solve, dtype=system.dtype
         )
         restart = min(policy.krylov_restart, n)
-        # Iteration budget is staged: with the Woodbury-exact
-        # preconditioner almost every solve converges within the first
-        # couple of restart cycles, and the full budget is only spent
-        # when the cheap attempt's backward error does not pass.
+        # Iteration budget is staged: with the near-field preconditioner
+        # almost every solve converges within the first couple of
+        # restart cycles, and the full budget is only spent when the
+        # cheap attempt's backward error does not pass.
         first = min(2, policy.krylov_maxiter)
         budgets = [c for c in (first, policy.krylov_maxiter - first) if c > 0]
 
@@ -463,29 +440,32 @@ class ResilientFactorization:
                 iters[0] += 1
 
             obs_metrics.counter("solver.krylov_solves").inc()
-            x = None
-            error = np.inf
-            info = 0
-            for cycles in budgets:
-                x, info = spla.gmres(
-                    a_op, b_arr, x0=x, rtol=policy.krylov_tol, atol=0.0,
-                    restart=restart, maxiter=cycles, M=m_op,
-                    callback=_count, callback_type="pr_norm",
+            with span("solver.krylov.gmres") as gmres_span:
+                x = None
+                error = np.inf
+                info = 0
+                for cycles in budgets:
+                    x, info = spla.gmres(
+                        a_op, b_arr, x0=x, rtol=policy.krylov_tol,
+                        atol=0.0, restart=restart, maxiter=cycles, M=m_op,
+                        callback=_count, callback_type="pr_norm",
+                    )
+                    x = _finish(site_r, x)
+                    error = backward_error(x, b_arr)
+                    if error <= policy.krylov_residual_tol:
+                        break
+                gmres_span.attrs.update(
+                    iterations=iters[0], backward_error=error
                 )
-                x = _finish(site_r, x)
-                error = backward_error(x, b_arr)
+                obs_metrics.counter("solver.krylov_iterations").inc(iters[0])
                 if error <= policy.krylov_residual_tol:
-                    obs_metrics.counter(
-                        "solver.krylov_iterations"
-                    ).inc(iters[0])
                     return x, error
-            obs_metrics.counter("solver.krylov_iterations").inc(iters[0])
-            obs_metrics.counter("solver.krylov_stagnations").inc()
-            raise SingularCircuitError(
-                f"krylov (gmres) solve at {site_r} did not converge: "
-                f"info={info}, {iters[0]} iterations, backward error "
-                f"{error:.3e} exceeds {policy.krylov_residual_tol:.1e}"
-            )
+                obs_metrics.counter("solver.krylov_stagnations").inc()
+                raise SingularCircuitError(
+                    f"krylov (gmres) solve at {site_r} did not converge: "
+                    f"info={info}, {iters[0]} iterations, backward error "
+                    f"{error:.3e} exceeds {policy.krylov_residual_tol:.1e}"
+                )
 
         return run
 
@@ -782,7 +762,6 @@ class SweepAssembler:
             )
             self._g = g_sparse
             self._near = SweepPattern(g_sparse, c_matrix.near_sparse())
-            self._far = c_matrix.far_lowrank()
         elif sp.issparse(g_matrix):
             self.mode = "sparse"
             self._pattern = SweepPattern(g_matrix, c_matrix)
@@ -808,16 +787,12 @@ class SweepAssembler:
             # Recorded dense fallback, built once per stagnated solve.
             return g.toarray() + 1j * omega * c.to_dense()  # qa: ignore[QA208]
 
-        u_far, v_far = self._far
         return OperatorSystem(
             matvec=matvec,
             precond=self._near.at_omega(omega),
             materialize=materialize,
             shape=g.shape,
             dtype=complex,
-            lowrank=(
-                ((1j * omega) * u_far, v_far) if u_far.shape[1] else None
-            ),
         )
 
     def at_alpha(self, alpha: float):
@@ -835,12 +810,10 @@ class SweepAssembler:
             # Recorded dense fallback, built once per stagnated solve.
             return alpha * c.to_dense() + g.toarray()  # qa: ignore[QA208]
 
-        u_far, v_far = self._far
         return OperatorSystem(
             matvec=matvec,
             precond=self._near.at_alpha(alpha),
             materialize=materialize,
             shape=g.shape,
             dtype=float,
-            lowrank=((alpha * u_far, v_far) if u_far.shape[1] else None),
         )

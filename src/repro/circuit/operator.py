@@ -44,7 +44,6 @@ class OperatorStampedMatrix:
         self.sparse = sparse.tocsr()
         self.blocks = list(blocks)
         self.shape = self.sparse.shape
-        self._far_lowrank: tuple[np.ndarray, np.ndarray] | None = None
         n = self.shape[0]
         for off, op in self.blocks:
             m = op.shape[0]
@@ -117,36 +116,6 @@ class OperatorStampedMatrix:
         cols = np.concatenate([p.col for p in parts])
         vals = np.concatenate([p.data for p in parts])
         return sp.coo_matrix((vals, (rows, cols)), shape=self.shape).tocsr()
-
-    def far_lowrank(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global low-rank factors ``(U, V)`` of the compressed far field.
-
-        Stacked from each operator block's own factors, shifted to system
-        coordinates, so ``C == near_sparse() + U @ V`` exactly.  Cached:
-        the factors are frequency-independent and shared by every sweep
-        point.
-        """
-        if self._far_lowrank is None:
-            n = self.shape[0]
-            us: list[np.ndarray] = []
-            vs: list[np.ndarray] = []
-            for off, op in self.blocks:
-                u_blk, v_blk = op.far_lowrank()
-                k = u_blk.shape[1]
-                if k == 0:
-                    continue
-                m = op.shape[0]
-                u_sys = np.zeros((n, k))
-                v_sys = np.zeros((k, n))
-                u_sys[off:off + m] = u_blk
-                v_sys[:, off:off + m] = v_blk
-                us.append(u_sys)
-                vs.append(v_sys)
-            if us:
-                self._far_lowrank = (np.hstack(us), np.vstack(vs))
-            else:
-                self._far_lowrank = (np.zeros((n, 0)), np.zeros((0, n)))
-        return self._far_lowrank
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full C (validation / dense-fallback paths)."""

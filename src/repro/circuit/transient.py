@@ -435,7 +435,6 @@ def _device_jacobian_system(
         materialize=materialize,
         shape=base.shape,
         dtype=float,
-        lowrank=base.lowrank,
     )
 
 

@@ -37,7 +37,8 @@ SPD/passivity check, see :mod:`repro.extraction.hierarchical`).  ``sweep`` runs 
 geometry x sparsifier, see :mod:`repro.scenarios`) sharded over a
 process pool with per-scenario checkpointing and cross-run resume.  ``trace`` runs a small PEEC flow under the :mod:`repro.obs`
 span collector and prints the span tree plus the metrics registry,
-exiting non-zero on leaked (unclosed) spans or missing stages; the
+exiting non-zero on leaked (unclosed) spans, missing stages, or root
+spans covering less than 95% of the flow's wall clock; the
 ``--trace-json`` flag on ``table1``/``run``/``loop``/``bench`` collects
 the same data around a full command and writes it as JSON.
 """
@@ -396,6 +397,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 #: Top-level spans the ``trace`` smoke command insists on seeing.
 _TRACE_EXPECTED = ("flow.peec", "peec.assembly", "circuit.transient")
 
+#: Least share of the traced flow's wall clock its root spans must cover.
+_TRACE_MIN_COVERAGE = 0.95
+
 
 def _seed_required_metrics() -> None:
     """Touch the headline counters so exports always carry them.
@@ -461,6 +465,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             exit_code = 1
     if trace.open_spans:
         print(f"trace: {trace.open_spans} span(s) leaked (never closed)")
+        exit_code = 1
+    coverage = trace.span_coverage
+    print(f"trace: root spans cover {coverage:.1%} of "
+          f"{trace.wall_seconds:.3f} s")
+    if coverage < _TRACE_MIN_COVERAGE:
+        print(f"trace: span coverage below {_TRACE_MIN_COVERAGE:.0%}; "
+              "part of the flow runs outside every span")
         exit_code = 1
     print("trace:", "FAIL" if exit_code else "ok")
     return exit_code

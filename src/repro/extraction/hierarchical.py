@@ -365,8 +365,7 @@ class HierarchicalPartialL:
         operator stores exactly, leaving only the ACA-compressed far
         field out.  It is the preconditioner seed for the Krylov solve
         tier — cheap to factor with ``splu`` and never densifies the far
-        field, which :meth:`far_lowrank` supplies as global low-rank
-        factors instead.
+        field, which reaches the solve only through :meth:`matvec`.
         """
         n = self.n
         rows = [np.arange(n)]
@@ -393,31 +392,6 @@ class HierarchicalPartialL:
             shape=(n, n),
         )
         return mat.tocsr()
-
-    def far_lowrank(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global low-rank factors ``(U, V)`` of the compressed far field.
-
-        ``U @ V`` (shape ``(n, K) @ (K, n)`` with ``K`` the summed block
-        ranks, both orientations) reproduces exactly the part of the
-        operator that :meth:`near_block_diagonal` leaves out, so
-        ``near_block_diagonal() + U @ V`` equals :meth:`to_dense` to
-        rounding.  ``K`` is small (ACA ranks), which makes a Woodbury
-        correction of the near-field preconditioner affordable.
-        """
-        n = self.n
-        total = 2 * sum(blk.rank for blk in self.far_blocks)
-        u_global = np.zeros((n, total))
-        v_global = np.zeros((total, n))
-        at = 0
-        for blk in self.far_blocks:
-            k = blk.rank
-            u_global[blk.rows, at:at + k] = blk.u
-            v_global[at:at + k, blk.cols] = blk.v
-            at += k
-            u_global[blk.cols, at:at + k] = blk.v.T
-            v_global[at:at + k, blk.rows] = blk.u.T
-            at += k
-        return u_global, v_global
 
     @property
     def memory_bytes(self) -> int:

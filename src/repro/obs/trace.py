@@ -141,10 +141,13 @@ class Trace:
 
     Attributes:
         roots: Top-level spans, in entry order.
+        wall_seconds: Wall clock spent inside :func:`tracing` blocks
+            that activated this collector.
     """
 
     def __init__(self) -> None:
         self.roots: list[Span] = []
+        self.wall_seconds = 0.0
         self._open = 0
 
     @property
@@ -181,10 +184,24 @@ class Trace:
             sp.duration or 0.0 for sp in self.iter_spans() if sp.name == name
         )
 
+    @property
+    def span_coverage(self) -> float:
+        """Share of :attr:`wall_seconds` the root spans account for.
+
+        Near 1 when every stage of the traced run sits under some span;
+        a stage that runs outside all spans shows up as the shortfall.
+        """
+        if self.wall_seconds <= 0.0:
+            return 0.0
+        covered = sum(root.duration or 0.0 for root in self.roots)
+        return covered / self.wall_seconds
+
     def to_json(self) -> dict[str, Any]:
         return {
             "spans": [root.to_dict() for root in self.roots],
             "open_spans": self._open,
+            "wall_seconds": self.wall_seconds,
+            "span_coverage": self.span_coverage,
         }
 
     def format(self) -> str:
@@ -224,12 +241,15 @@ def tracing(trace: Trace | None = None) -> Iterator[Trace]:
     Nested activations stack (the innermost wins); the span stack is NOT
     reset, so an outer span adopting inner-trace roots is prevented by
     giving the inner trace its own stack frame only when none is open.
+    The block's wall clock is added to ``trace.wall_seconds``.
     """
     trace = trace if trace is not None else Trace()
     token = _TRACE.set(trace)
+    start = time.perf_counter()
     try:
         yield trace
     finally:
+        trace.wall_seconds += time.perf_counter() - start
         _TRACE.reset(token)
 
 

@@ -93,9 +93,8 @@ class TestSparseNewton:
 
 class _DenseBackedOperator:
     """Minimal operator-set backend: a dense SPD L behind the operator
-    interface, with a diagonal near field and the full off-diagonal
-    remainder as (trivially low-rank) Woodbury factors, so the Krylov
-    preconditioner is exact."""
+    interface, with a diagonal near field, so the off-diagonal couplings
+    reach the Krylov solve only through ``matvec``."""
 
     def __init__(self, matrix):
         self._m = np.asarray(matrix, dtype=float)
@@ -111,10 +110,6 @@ class _DenseBackedOperator:
 
     def near_block_diagonal(self):
         return sp.csr_matrix(np.diag(self.diag))
-
-    def far_lowrank(self):
-        off_diag = self._m - np.diag(self.diag)
-        return off_diag, np.eye(self.shape[0])
 
 
 def _coupled_rl_circuit():

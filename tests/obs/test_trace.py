@@ -127,6 +127,35 @@ class TestTimings:
         )
 
 
+    def test_span_coverage_counts_root_spans_against_wall_clock(self):
+        import time
+
+        with tracing() as trace:
+            with span("covered"):
+                time.sleep(0.05)
+            time.sleep(0.05)
+        assert trace.wall_seconds >= 0.1
+        assert trace.span_coverage == pytest.approx(
+            trace.roots[0].duration / trace.wall_seconds
+        )
+        assert 0.2 < trace.span_coverage < 0.8
+        assert trace.to_json()["span_coverage"] == trace.span_coverage
+
+    def test_wall_clock_accumulates_over_activations(self):
+        import time
+
+        trace = Trace()
+        assert trace.span_coverage == 0.0
+        with tracing(trace):
+            time.sleep(0.02)
+        first = trace.wall_seconds
+        with tracing(trace):
+            with span("later"):
+                pass
+        assert first >= 0.02
+        assert trace.wall_seconds >= first + trace.roots[0].duration
+
+
 class TestSerialization:
     def make_trace(self):
         with tracing() as trace:

@@ -20,6 +20,7 @@ from repro.circuit.linalg import (
     resilient_solve,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs.trace import tracing
 from repro.resilience import ResiliencePolicy, RunReport, activate, inject_faults
 
 SAFE = ResiliencePolicy(escalation="safe")
@@ -36,32 +37,14 @@ def _dense_system(n=24, seed=3, dtype=complex):
     return a.astype(dtype), b.astype(dtype)
 
 
-def _operator_system(a, lowrank_cols=0, seed=11):
-    """Wrap dense ``a`` as an OperatorSystem.
-
-    With ``lowrank_cols > 0``, splits ``a = precond + U @ V`` with a
-    random rank-``lowrank_cols`` far field, exercising the Woodbury
-    branch of the preconditioner.
-    """
-    n = a.shape[0]
-    if lowrank_cols:
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=(n, lowrank_cols)).astype(a.dtype)
-        v = rng.normal(size=(lowrank_cols, n)).astype(a.dtype)
-        scale = np.abs(a).max() / max(np.abs(u @ v).max(), 1e-300)
-        u = u * (0.05 * scale)
-        precond = sp.csc_matrix(a - u @ v)
-        lowrank = (u, v)
-    else:
-        precond = sp.csc_matrix(a)
-        lowrank = None
+def _operator_system(a):
+    """Wrap dense ``a`` as an OperatorSystem with an exact preconditioner."""
     return OperatorSystem(
         matvec=lambda x: a @ x,
-        precond=precond,
+        precond=sp.csc_matrix(a),
         materialize=lambda: np.asarray(a),
         shape=a.shape,
         dtype=a.dtype,
-        lowrank=lowrank,
     )
 
 
@@ -104,15 +87,6 @@ class TestChainOverMatrixForms:
 
 
 class TestKrylovRung:
-    def test_woodbury_lowrank_preconditioner(self):
-        a, b = _dense_system(n=40)
-        system = _operator_system(a, lowrank_cols=5)
-        with inject_faults():
-            rf = ResilientFactorization(system, site="t", policy=SAFE)
-            x = rf.solve(b)
-        assert rf.report.winner == "krylov"
-        assert np.allclose(a @ x, b, rtol=1e-9, atol=1e-12)
-
     def test_metrics_incremented(self):
         a, b = _dense_system()
         solves0 = obs_metrics.counter("solver.krylov_solves").value
@@ -136,6 +110,42 @@ class TestKrylovRung:
         a, _ = _dense_system()
         rf = ResilientFactorization(a, site="t", policy=SAFE)
         assert "krylov" not in rf._rungs
+
+
+class TestKrylovSpans:
+    def test_setup_and_gmres_spans(self):
+        # A diagonal preconditioner leaves GMRES several iterations, so
+        # the span's count is compared against a non-trivial delta.
+        a, b = _dense_system(n=40)
+        n = a.shape[0]
+        system = OperatorSystem(
+            matvec=lambda x: a @ x,
+            precond=sp.diags(np.diagonal(a)).tocsc(),
+            materialize=lambda: np.asarray(a),
+            shape=a.shape,
+            dtype=a.dtype,
+        )
+        iters0 = obs_metrics.counter("solver.krylov_iterations").value
+        with inject_faults(), tracing() as trace:
+            resilient_solve(system, b, site="t", policy=SAFE)
+        iters = obs_metrics.counter("solver.krylov_iterations").value - iters0
+        setup = trace.find("solver.krylov.setup")
+        assert setup.attrs["size"] == n
+        assert setup.attrs["precond_nnz"] == n
+        assert setup.attrs["factor_nnz"] >= n
+        gmres = [s for s in trace.iter_spans()
+                 if s.name == "solver.krylov.gmres"]
+        assert len(gmres) == 1
+        assert iters > 1
+        assert gmres[0].attrs["iterations"] == iters
+        assert gmres[0].attrs["backward_error"] <= SAFE.krylov_residual_tol
+
+    def test_direct_rungs_open_no_spans(self):
+        a, b = _dense_system()
+        with inject_faults(), tracing() as trace:
+            resilient_solve(a, b, site="t", policy=SAFE)
+            resilient_solve(sp.csc_matrix(a), b, site="t", policy=SAFE)
+        assert trace.roots == []
 
 
 class TestKrylovFallback:
@@ -292,4 +302,4 @@ class TestFactorizationLifetime:
 
     def test_krylov_rung_closure_is_freed(self):
         a, b = _dense_system(n=40)
-        assert all(self._solve_and_drop(_operator_system(a, 5), b))
+        assert all(self._solve_and_drop(_operator_system(a), b))

@@ -60,6 +60,27 @@ class TestCLI:
         assert "extraction.cache.misses" in counters
         assert "solver.escalated_solves" in counters
 
+    def test_trace_fails_on_an_untraced_gap(self, monkeypatch, capsys):
+        import time
+
+        import repro
+        from repro.obs.trace import span
+
+        def gappy_flow(case):
+            with span("flow.peec"):
+                with span("peec.assembly"):
+                    pass
+                with span("circuit.transient"):
+                    pass
+            time.sleep(0.2)  # work no span accounts for
+
+        monkeypatch.setattr(repro, "build_clock_testcase", lambda **kw: None)
+        monkeypatch.setattr(repro, "run_peec_flow", gappy_flow)
+        assert main(["trace"]) == 1
+        out = capsys.readouterr().out
+        assert "span coverage below 95%" in out
+        assert "trace: FAIL" in out
+
     def test_run_is_an_alias_of_table1(self, capsys):
         assert main(["run", "--die", "250", "--branches", "2"]) == 0
         assert "Table 1" in capsys.readouterr().out
