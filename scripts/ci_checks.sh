@@ -23,6 +23,19 @@ echo "== e2e benchmark harness (golden outputs + paper-shape checks) =="
 python -m pytest benchmarks/e2e -q
 
 echo
+echo "== e2e golden outputs at full scale (seed 0, one repetition each) =="
+# Seed 0 compares all four workloads against benchmarks/e2e/golden.json
+# (1e-6 for table1, 1e-9 for the sweeps) on top of the paper-shape
+# checks; ~50 s.
+python3 benchmarks/e2e/run.py --seed 0 --seconds 0.1
+
+echo
+echo "== paper-shape benchmarks (Figures 1-9, Section 4, SINO, grid noise) =="
+# The bench_*.py assertions: orderings, trends and counts, no timings
+# except the Table-1 LOOP-vs-RLC run-time claim; ~35 s.
+python -m pytest benchmarks --benchmark-disable --ignore=benchmarks/e2e -q
+
+echo
 echo "== repro.qa.astlint over src =="
 python -m repro.qa.astlint src
 

@@ -121,6 +121,24 @@ class Factorization:
             )
         return x
 
+    def raw_solver(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The bare LAPACK ``getrs`` / SuperLU solve of this factor.
+
+        No argument or finiteness checks and no copy of the right-hand
+        side, which it may overwrite; on finite input the result is
+        bit-identical to :meth:`solve`.  For callers that step thousands
+        of solves and check their states in bulk.
+        """
+        if self._sparse:
+            return self._lu.solve
+        lu, piv = self._lu
+        (getrs,) = sla.get_lapack_funcs(("getrs",), (lu,))
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return getrs(lu, piv, b, overwrite_b=True)[0]
+
+        return solve
+
 
 def add_gmin(g_matrix, num_nodes: int, gmin: float):
     """Return G with ``gmin`` added on the node-voltage diagonal.
@@ -289,6 +307,11 @@ class ResilientFactorization:
     operator is materialized exactly once -- recorded as a RunReport
     downgrade -- and the direct rungs take over on the dense matrix.
 
+    A caller that steps thousands of solves with one matrix (a linear
+    transient) takes the accepted LU's bare solve from
+    :meth:`direct_solver` and checks its states once per block with
+    :meth:`vouch`, which keeps the rung bookkeeping of :meth:`solve`.
+
     Args:
         matrix: The system matrix (dense ndarray, scipy sparse, or an
             :class:`OperatorSystem`).
@@ -317,6 +340,7 @@ class ResilientFactorization:
         self._dense_fallback = None
         self._rung_index = 0
         self._solver = None
+        self._raw = None
         self._cond: float | None = None
         self._ok_recorded = False
         self._attached = False
@@ -472,6 +496,7 @@ class ResilientFactorization:
     def _prepare_lu(self, site_r: str, matrix):
         factor = Factorization(matrix)
         self._cond = factor.condition_estimate
+        self._raw = factor.raw_solver()
 
         def run(b: np.ndarray):
             return _finish(site_r, factor.solve(b)), None
@@ -605,42 +630,94 @@ class ResilientFactorization:
             self._attached = True
             attach_solve_report(self.report)
 
+    def _ready(self):
+        """The solve closure of the rung in charge, factored on first use."""
+        if self._solver is None:
+            self._solver = self._prepare(self._rungs[self._rung_index])
+        return self._solver
+
+    def _escalate(self, exc: Exception) -> None:
+        """Record the rung in charge as failed and hand over to the next."""
+        self.report.record(SolveAttempt(
+            rung=self.rung, ok=False, error=str(exc),
+            condition_estimate=self._cond,
+        ))
+        obs_metrics.counter("solver.escalation_attempts").inc()
+        self._attach_once()
+        self._rung_index += 1
+        self._solver = None
+        self._raw = None
+        self._cond = None
+        self._ok_recorded = False
+
+    def _accept(self, residual: float | None) -> None:
+        """Record the rung in charge's first accepted solution."""
+        if self._ok_recorded:
+            return
+        self._ok_recorded = True
+        self.report.record(SolveAttempt(
+            rung=self.rung, ok=True,
+            condition_estimate=self._cond, residual=residual,
+        ))
+        if self._rung_index > 0:
+            self._attach_once()
+            obs_metrics.counter("solver.escalated_solves").inc()
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b, escalating through the enabled rungs."""
         last_exc: Exception | None = None
         while self._rung_index < len(self._rungs):
-            rung = self._rungs[self._rung_index]
             try:
-                if self._solver is None:
-                    self._solver = self._prepare(rung)
-                x, residual = self._solver(b)
+                x, residual = self._ready()(b)
             except (SingularCircuitError, InjectedFault) as exc:
-                self.report.record(SolveAttempt(
-                    rung=rung, ok=False, error=str(exc),
-                    condition_estimate=self._cond,
-                ))
-                obs_metrics.counter("solver.escalation_attempts").inc()
-                self._attach_once()
+                self._escalate(exc)
                 last_exc = exc
-                self._rung_index += 1
-                self._solver = None
-                self._cond = None
-                self._ok_recorded = False
                 continue
-            if not self._ok_recorded:
-                self._ok_recorded = True
-                self.report.record(SolveAttempt(
-                    rung=rung, ok=True,
-                    condition_estimate=self._cond, residual=residual,
-                ))
-                if self._rung_index > 0:
-                    self._attach_once()
-                    obs_metrics.counter("solver.escalated_solves").inc()
+            self._accept(residual)
             return x
         raise SingularCircuitError(
             f"all {len(self._rungs)} escalation rung(s) failed at solve site "
             f"{self.site!r} -- {self.report.format()}"
         ) from last_exc
+
+    def direct_solver(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """Factor now; the bare solve of an accepted direct-LU rung.
+
+        Prepares the rung in charge, escalating past every rung whose
+        factorization fails exactly as :meth:`solve` would, so
+        factor-time faults fire and are recorded here.  Returns
+        :meth:`Factorization.raw_solver` when the chain settled on
+        ``"lu"``, and None when another rung is in charge or every rung
+        failed (:meth:`solve` then escalates or raises as usual).
+        """
+        while self._rung_index < len(self._rungs):
+            try:
+                self._ready()
+            except (SingularCircuitError, InjectedFault) as exc:
+                self._escalate(exc)
+                continue
+            return self._raw
+        return None
+
+    def vouch(self, x: np.ndarray) -> bool:
+        """Run the solve-site checks on a finite state the raw solve made.
+
+        Callers that step with :meth:`direct_solver` check a whole block
+        of states at once and call this once per block, where
+        :meth:`solve` would check every solution.  An injected ``nan``
+        fault fires here and fails the rung, escalating as in
+        :meth:`solve`; otherwise the rung's success is recorded.
+
+        Returns:
+            Whether ``x`` passed.
+        """
+        try:
+            _finish(f"{self.site}.{self.rung}", x)
+        except SingularCircuitError as exc:
+            self._escalate(exc)
+            return False
+        self._accept(None)
+        return True
 
 
 def resilient_solve(

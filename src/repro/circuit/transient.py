@@ -1,13 +1,21 @@
 """Transient analysis: trapezoidal / backward-Euler time stepping.
 
-Integrates ``C dx/dt + G x + f(x) = b(t)`` with a fixed step.  Linear
-circuits factor the companion matrix once and reuse it every step;
-circuits with nonlinear devices run damped Newton per step.  The first
-couple of steps always use backward Euler to damp the startup transient
-of inconsistent initial conditions (standard practice; trapezoidal rule
-would ring forever on them).
+Integrates ``C dx/dt + G x + f(x) = b(t)`` with a fixed step.  The
+first couple of steps always use backward Euler to damp the startup
+transient of inconsistent initial conditions (standard practice;
+trapezoidal rule would ring forever on them).
 
-A failing step is retried (transient faults), then halved into ``2^k``
+Circuits with nonlinear devices run damped Newton per step.  Linear
+circuits step in **blocks**, one per checkpoint interval (the whole run
+without a checkpoint): the companion matrix ``alpha C + G`` is factored
+once per step size through the escalation chain, every source is
+sampled once over the time grid, and each step is one product plus the
+accepted LU's raw solve.  A block fires the ``transient.step`` fault
+site once at its start and checks finiteness once at its end.
+
+A block that raises or comes out non-finite, or whose factor is on a
+rung other than direct LU, re-runs from its start state **per step**:
+a failing step is retried (transient faults), then halved into ``2^k``
 backward-Euler substeps (hard nonlinear steps), per the
 :class:`~repro.resilience.policy.ResiliencePolicy`; every rescue is
 logged in the result's :class:`~repro.resilience.report.RunReport`.
@@ -147,6 +155,139 @@ def _embedded_deck(system: MNASystem, t_stop: float) -> str | None:
     return text
 
 
+#: The step product reads G and C from CSR when their stored entries,
+#: plus this allowance for the two sparse calls' fixed cost, are at most
+#: an eighth of n^2 (see :func:`_product_format`).
+_CSR_PRODUCT_ALLOWANCE = 4096
+
+
+def _product_format(g_matrix, c_matrix) -> str:
+    """Format of the matrices that form each step's ``alpha C x - G x``.
+
+    ``"csr"`` when G and C together store few entries relative to n^2,
+    ``"dense"`` otherwise; an operator-backed C applies itself
+    (``"operator"``).  A dense product touches all n^2 entries of each
+    matrix, a CSR one only the stored entries, at several times the cost
+    per entry plus a fixed call overhead: the dense form wins for small
+    or filled systems, CSR for large sparse ones.
+    """
+    from repro.circuit.operator import OperatorStampedMatrix
+
+    if isinstance(c_matrix, OperatorStampedMatrix):
+        return "operator"
+    if sp.issparse(g_matrix):
+        return "csr"
+    n = g_matrix.shape[0]
+    stored = np.count_nonzero(g_matrix) + np.count_nonzero(c_matrix)
+    return "csr" if 8 * (stored + _CSR_PRODUCT_ALLOWANCE) <= n * n else "dense"
+
+
+def _source_samples(
+    system: MNASystem, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``b(t)`` over the whole time grid, on the rows the sources touch.
+
+    Every waveform is evaluated once per time point, and the rows are
+    accumulated in :meth:`MNASystem.rhs`'s order with its operations, so
+    a ``b`` rebuilt from them is bit-identical to ``system.rhs(t)``.
+
+    Returns:
+        ``(rows, values)``: the touched rows and their values, shape
+        ``(len(times), len(rows))`` -- sources by steps, never n by steps.
+    """
+    circuit = system.circuit
+    ni = circuit.node_index
+    acc: dict[int, np.ndarray] = {}
+
+    def sample(waveform) -> np.ndarray:
+        return np.array([waveform(t) for t in times], dtype=float)
+
+    for src in circuit.isources:
+        current = sample(src.waveform)
+        a, c = ni(src.n_plus), ni(src.n_minus)
+        if a >= 0:
+            acc[a] = acc.get(a, 0.0) - current
+        if c >= 0:
+            acc[c] = acc.get(c, 0.0) + current
+    for src in circuit.vsources:
+        acc[system.branch_index(src.name)] = -sample(src.waveform)
+    rows = np.array(sorted(acc), dtype=np.intp)
+    values = np.zeros((len(times), rows.size))
+    for j, row in enumerate(rows):
+        values[:, j] = acc[row]
+    return rows, values
+
+
+def _step_rhs(g_matrix, c_matrix, x_old, b_old, b_new, alpha, use_be):
+    """Right-hand side of one companion step ``(alpha C + G) x = rhs``.
+
+    Both stepping paths evaluate exactly this expression, so they agree
+    bit for bit whenever they use the same matrices.
+    """
+    if use_be:
+        return c_matrix @ x_old * alpha + b_new
+    return (alpha * (c_matrix @ x_old) - g_matrix @ x_old) + b_new + b_old
+
+
+def _step_kinds(method: str, k0: int, k1: int):
+    """``(first, stop, use_be)`` runs of equal step kind in steps k0..k1."""
+    if method == "be":
+        return [(k0, k1, True)]
+    runs = []
+    if k0 < 2:
+        runs.append((k0, min(k1, 2), True))
+    if k1 > 2:
+        runs.append((max(k0, 2), k1, False))
+    return runs
+
+
+class _BlockStepper:
+    """Raw-solve stepping of a linear circuit between checkpoints.
+
+    Holds what every block of one run shares: the step-product matrices
+    in the format :func:`_product_format` picks, and the source values
+    of :func:`_source_samples`.  Each step evaluates :func:`_step_rhs`,
+    as the per-step path does, so on dense products the states are
+    bit-identical to that path's.
+    """
+
+    def __init__(self, system, g_matrix, c_matrix, times, indices) -> None:
+        self.product = _product_format(g_matrix, c_matrix)
+        if self.product == "csr" and not sp.issparse(g_matrix):
+            g_matrix = sp.csr_matrix(g_matrix)
+            c_matrix = sp.csr_matrix(c_matrix)
+        self._g = g_matrix
+        self._c = c_matrix
+        self._size = system.size
+        self._rows, self._values = _source_samples(system, times)
+        self._indices = np.asarray(indices, dtype=np.intp)
+
+    def run(self, x, k0, segments, out) -> np.ndarray:
+        """Step ``x`` through ``segments`` from step ``k0``.
+
+        Args:
+            x: State at step ``k0``.
+            segments: ``(first, stop, alpha, use_be, solve)`` runs of
+                steps sharing one companion solve, in order.
+            out: Recorded trajectories; rows ``k0 + 1 ..`` are written.
+
+        Returns:
+            The state after the last step, unchecked.
+        """
+        g, c, idx = self._g, self._c, self._indices
+        rows, values, n = self._rows, self._values, self._size
+        b_old = np.zeros(n)
+        b_old[rows] = values[k0]
+        for first, stop, alpha, use_be, solve in segments:
+            for k in range(first, stop):
+                b_new = np.zeros(n)
+                b_new[rows] = values[k + 1]
+                x = solve(_step_rhs(g, c, x, b_old, b_new, alpha, use_be))
+                out[k + 1] = x[idx]
+                b_old = b_new
+        return x
+
+
 def transient_analysis(
     circuit_or_system,
     t_stop: float,
@@ -273,28 +414,38 @@ def transient_analysis(
     # float-keyed dict grows without bound and misses those near-equals.
     factor_cache: LRUCache = LRUCache(FACTOR_CACHE_SIZE)
     assembler = SweepAssembler(g_matrix, c_matrix)
+    rung_used: str | None = None
 
-    def companion(alpha: float) -> ResilientFactorization:
+    def companion(alpha: float, serves: str) -> ResilientFactorization:
+        nonlocal rung_used
         key = quantize_alpha(alpha)
         factor = factor_cache.get(key)
         if factor is None:
             # The union pattern / operator wrapper is shared across all
             # alphas; the factorization (splu or the Krylov rung's
             # preconditioner factor) is cached per quantized alpha.
-            factor = ResilientFactorization(
-                assembler.at_alpha(alpha), site="transient", policy=policy
-            )
+            with span(
+                "circuit.transient.factor", size=system.size,
+                format=assembler.mode, alpha=float(alpha), serves=serves,
+            ) as factor_span:
+                factor = ResilientFactorization(
+                    assembler.at_alpha(alpha), site="transient", policy=policy
+                )
+                factor.direct_solver()
+                factor_span.attrs["rung"] = factor.rung
             factor_cache.put(key, factor)
+        rung_used = factor.rung
         return factor
 
     def linear_step(x_old, b_old, b_new, alpha, use_be):
-        if use_be:
-            rhs = c_matrix @ x_old * alpha + b_new
-        else:
-            rhs = (
-                (alpha * (c_matrix @ x_old) - g_matrix @ x_old) + b_new + b_old
-            )
-        return companion(alpha).solve(rhs)
+        rhs = _step_rhs(g_matrix, c_matrix, x_old, b_old, b_new, alpha, use_be)
+        if not use_be:
+            serves = "trap"
+        elif alpha == 1.0 / dt:
+            serves = "be"
+        else:  # a backward-Euler substep of a halved step
+            serves = "halved"
+        return companion(alpha, serves).solve(rhs)
 
     def one_step(x_old, f_old, b_old, b_new, alpha, use_be):
         faults.maybe_fail("transient.step")
@@ -326,19 +477,15 @@ def transient_analysis(
     steps_counter = obs_metrics.counter("transient.steps")
     retries_counter = obs_metrics.counter("transient.retries")
     halvings_counter = obs_metrics.counter("transient.step_halvings")
-    with activate(report), span(
-        "circuit.transient",
-        size=system.size,
-        steps=num_steps,
-        method=method,
-        sparse=sparse,
-    ):
-        b_prev = system.rhs(times[start_step])
+
+    def step_each(k0: int, k1: int) -> None:
+        """Steps ``k0 .. k1`` one solve at a time, with every rescue."""
+        nonlocal x
+        b_prev = system.rhs(times[k0])
         f_prev, _ = (
             system.eval_devices(x) if system.has_devices else (None, None)
         )
-        since_checkpoint = 0
-        for k in range(start_step, num_steps):
+        for k in range(k0, k1):
             t_next = times[k + 1]
             b_next = system.rhs(t_next)
             use_be = method == "be" or k < 2
@@ -383,14 +530,78 @@ def transient_analysis(
                 f_prev, _ = system.eval_devices(x)
             data[k + 1] = x[indices]
             b_prev = b_next
-            since_checkpoint += 1
-            if (
-                checkpoint is not None
-                and since_checkpoint >= checkpoint.interval
-                and k + 1 < num_steps
-            ):
-                save(k + 1, "periodic")
-                since_checkpoint = 0
+
+    def step_block(stepper: _BlockStepper, k0: int, k1: int) -> bool:
+        """Steps ``k0 .. k1`` with raw solves; False leaves ``x`` as it was.
+
+        One ``transient.step`` fault site and one finiteness check per
+        block; the companion factors go through the escalation chain,
+        and any rung but direct LU makes the block fall back.
+        """
+        nonlocal x
+        try:
+            faults.maybe_fail("transient.step")
+        except InjectedFault:
+            return False
+        segments, factors = [], []
+        for first, stop, use_be in _step_kinds(method, k0, k1):
+            alpha = (1.0 / dt) if use_be else (2.0 / dt)
+            factor = companion(alpha, "be" if use_be else "trap")
+            solve = factor.direct_solver()
+            if solve is None:
+                return False
+            segments.append((first, stop, alpha, use_be, solve))
+            factors.append(factor)
+        x_end = stepper.run(x, k0, segments, data)
+        if not (
+            np.all(np.isfinite(x_end))
+            and np.all(np.isfinite(data[k0 + 1 : k1 + 1]))
+        ):
+            return False
+        if not all(factor.vouch(x_end) for factor in factors):
+            return False
+        x = x_end
+        steps_counter.inc(k1 - k0)
+        return True
+
+    blocks = replayed = 0
+    with activate(report), span(
+        "circuit.transient",
+        size=system.size,
+        steps=num_steps,
+        method=method,
+        sparse=sparse,
+    ) as transient_span:
+        stepper = None if system.has_devices else _BlockStepper(
+            system, g_matrix, c_matrix, times, indices
+        )
+        try:
+            k = start_step
+            while k < num_steps:
+                stop = num_steps
+                if checkpoint is not None:
+                    stop = min(k + checkpoint.interval, num_steps)
+                if stepper is None:
+                    step_each(k, stop)
+                else:
+                    blocks += 1
+                    if not step_block(stepper, k, stop):
+                        # Re-run from the block's start state: the
+                        # per-step path records every failure as before.
+                        replayed += 1
+                        step_each(k, stop)
+                if checkpoint is not None and stop < num_steps:
+                    save(stop, "periodic")
+                k = stop
+        finally:
+            transient_span.attrs.update(
+                path="per-step" if stepper is None else "block",
+                blocks=blocks, replayed=replayed,
+            )
+            if stepper is not None:
+                transient_span.attrs["product"] = stepper.product
+            if rung_used is not None:
+                transient_span.attrs["rung"] = rung_used
 
     finish_checkpoint(checkpoint)
     return TransientResult(

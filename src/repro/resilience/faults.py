@@ -31,6 +31,14 @@ Sites are dotted names (``"transient.lu"``, ``"dc.newton.equilibrated"``,
 ``"loop.freq"``); specs match them with :mod:`fnmatch` patterns, so
 ``"*.lu"`` targets the first escalation rung everywhere.
 
+Linear transients step in blocks of raw LU solves (see
+:mod:`repro.circuit.transient`), so their sites fire per block, not per
+step: ``"transient.step"`` once at each block's start, ``"raise"`` and
+``"singular"`` at ``"transient.<rung>"`` when a companion matrix is
+factored, and ``"nan"`` at ``"transient.lu"`` once per block on its end
+state.  A block a fault hits re-runs step by step, and there every
+step passes ``"transient.step"`` and every solve its rung's sites.
+
 Activation is either programmatic::
 
     with inject_faults(FaultSpec("transient.lu", "singular")):
@@ -128,7 +136,9 @@ class FaultInjector:
 
 #: Chaos-mode rules: low-probability faults at sites the resilience layer
 #: provably recovers from bit-compatibly (first-rung escalation recomputes
-#: the same answer; step retries redo identical work).
+#: the same answer; step retries redo identical work).  On linear
+#: transients ``transient.step`` and the ``nan`` rule are drawn once per
+#: block, and again per step only when the block is re-run step by step.
 def chaos_specs() -> tuple[FaultSpec, ...]:
     return (
         FaultSpec("*.lu", "raise", probability=0.02, max_hits=None),

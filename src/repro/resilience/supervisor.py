@@ -35,6 +35,9 @@ three with one discipline:
 * workers optionally run under a ``resource.setrlimit`` **memory
   ceiling** (``REPRO_WORKER_RLIMIT_MB``), turning runaway allocations
   into a catchable ``MemoryError`` instead of an OOM kill.
+* workers **exit with their parent**: a SIGKILLed parent cannot shut
+  its pool down, so each worker polls its parent PID and leaves once
+  it changes, instead of lingering as an orphan.
 
 Every supervision event (timeout, worker loss, restart, bisection,
 quarantine, breaker trip, budget exhaustion) is recorded in the active
@@ -52,6 +55,7 @@ itself with the process-level failures the math cannot see.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -77,6 +81,9 @@ BACKOFF_MAX = 2.0
 #: How long to wait for a broken pool's futures to settle before
 #: treating the stragglers as casualties outright [s].
 DRAIN_TIMEOUT = 10.0
+
+#: How often a pool worker checks that its parent still lives [s].
+PARENT_POLL_SECONDS = 0.5
 
 
 def _positive_float(raw: str, what: str) -> float:
@@ -200,16 +207,41 @@ def _apply_rlimit(rlimit_mb: int | None) -> None:
         obs_metrics.counter("supervisor.rlimit_failed").inc()
 
 
+def _exit_with_parent() -> None:
+    """Make this pool worker exit once the process that started it dies.
+
+    A daemon thread polls ``os.getppid()``: an orphan is re-parented,
+    so a changed parent PID means the parent is gone and nobody will
+    ever send this worker work or shut it down.  A no-op outside a
+    multiprocessing child, so calling it in the main process never arms
+    an exit.
+    """
+    if multiprocessing.parent_process() is None:
+        return
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def supervised_init(
     rlimit_mb: int | None,
     inner: Callable | None = None,
     inner_args: tuple = (),
 ) -> None:
-    """Pool initializer: apply the memory ceiling, then the caller's own.
+    """Pool initializer: exit with the parent, apply the memory ceiling,
+    then run the caller's own initializer.
 
     Callers chain their existing initializer through ``inner`` /
-    ``inner_args`` so one ``initializer=`` slot serves both concerns.
+    ``inner_args`` so one ``initializer=`` slot serves every concern.
+    The parent watch starts first: its thread stack must be reserved
+    before the address-space ceiling applies.
     """
+    _exit_with_parent()
     _apply_rlimit(rlimit_mb)
     if inner is not None:
         inner(*inner_args)

@@ -357,9 +357,12 @@ class TestFactorCacheIntegration:
 
         with inject_faults():
             clean = transient_analysis(rlc(), 2e-9, 1e-12, record=["c"])
+        # The first rule fails the run's one block at its start, so the
+        # block re-runs step by step, where the second rule fires.
         with inject_faults(
+            FaultSpec("transient.step", "raise"),
             FaultSpec("transient.step", "raise", probability=0.05,
-                      max_hits=None)
+                      max_hits=None),
         ):
             faulted = transient_analysis(rlc(), 2e-9, 1e-12, record=["c"])
         assert not faulted.report.clean  # the faults really fired

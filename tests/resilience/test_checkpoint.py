@@ -107,7 +107,11 @@ class TestTransientKillResume:
 
         path = tmp_path / "line.ckpt"
         config = CheckpointConfig(path, interval=100)
-        with inject_faults(FaultSpec("transient.step", "raise", after=600)):
+        # ``transient.step`` fires once per 100-step block: the seventh
+        # block (from step 600) raises, and so does its per-step replay.
+        with inject_faults(FaultSpec(
+            "transient.step", "raise", after=6, max_hits=None
+        )):
             with pytest.raises(InjectedFault):
                 transient_analysis(
                     _rlc_line(), T_STOP, DT, policy=BRITTLE,
@@ -154,7 +158,9 @@ class TestTransientKillResume:
 
     def test_mismatched_checkpoint_refuses_to_resume(self, tmp_path):
         path = tmp_path / "stale.ckpt"
-        with inject_faults(FaultSpec("transient.step", "raise", after=600)):
+        with inject_faults(FaultSpec(
+            "transient.step", "raise", after=6, max_hits=None
+        )):
             with pytest.raises(InjectedFault):
                 transient_analysis(
                     _rlc_line(), T_STOP, DT, policy=BRITTLE,

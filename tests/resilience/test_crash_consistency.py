@@ -23,6 +23,8 @@ from repro.resilience.checkpoint import CheckpointConfig, load_checkpoint
 from repro.resilience.faults import inject_faults
 from repro.resilience.supervisor import SupervisorConfig
 
+from tests.orphans import child_pids, kill, wait_gone
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FREQS = np.logspace(8, 10, 6)
 
@@ -128,6 +130,7 @@ class TestParentKill:
         path = tmp_path / "parent_kill.ckpt"
         driver = tmp_path / "driver.py"
         driver.write_text(textwrap.dedent(DRIVER % path))
+        workers: list[int] = []
         proc = subprocess.Popen(
             [sys.executable, str(driver)], env=_clean_env(),
             cwd=str(REPO_ROOT), stdout=subprocess.PIPE,
@@ -147,13 +150,19 @@ class TestParentKill:
                 time.sleep(0.02)
             else:
                 pytest.fail("driver never wrote a checkpoint")
+            workers = child_pids(proc.pid)
             proc.kill()
             proc.wait(timeout=30)
+            orphans = wait_gone(workers, timeout=10.0)
         finally:
             if proc.poll() is None:
                 proc.kill()
+            kill(workers)
             proc.stdout.close()
             proc.stderr.close()
+        # The pool workers leave with their killed parent, not linger.
+        assert workers
+        assert not orphans, f"workers outlived their killed parent: {orphans}"
 
         snap = load_checkpoint(path)
         done = int(snap.arrays["done"].sum())

@@ -40,7 +40,11 @@ def _line():
 def killed_run(tmp_path):
     """A transient checkpoint left behind by a mid-run 'crash'."""
     path = tmp_path / "crashed.ckpt"
-    with inject_faults(FaultSpec("transient.step", "raise", after=500)):
+    # ``transient.step`` fires once per 100-step block: the sixth block
+    # (from step 500) raises, and so does its per-step replay.
+    with inject_faults(FaultSpec(
+        "transient.step", "raise", after=5, max_hits=None
+    )):
         with pytest.raises(InjectedFault):
             transient_analysis(
                 _line(), T_STOP, DT, policy=BRITTLE,

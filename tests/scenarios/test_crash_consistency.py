@@ -21,6 +21,7 @@ from repro.resilience.supervisor import SupervisorConfig
 from repro.scenarios.scheduler import run_sweep
 from repro.scenarios.store import ResultStore
 
+from tests.orphans import child_pids, kill, wait_gone
 from tests.scenarios.test_scheduler import small_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -112,6 +113,7 @@ class TestParentKill:
         store_dir = tmp_path / "store"
         driver = tmp_path / "driver.py"
         driver.write_text(textwrap.dedent(DRIVER % store_dir))
+        workers: list[int] = []
         proc = subprocess.Popen(
             [sys.executable, str(driver)], env=_clean_env(),
             cwd=str(REPO_ROOT), stdout=subprocess.PIPE,
@@ -133,13 +135,19 @@ class TestParentKill:
                 time.sleep(0.02)
             else:
                 pytest.fail("driver never persisted a record")
+            workers = child_pids(proc.pid)
             proc.kill()
             proc.wait(timeout=30)
+            orphans = wait_gone(workers, timeout=10.0)
         finally:
             if proc.poll() is None:
                 proc.kill()
+            kill(workers)
             proc.stdout.close()
             proc.stderr.close()
+        # The pool workers leave with their killed parent, not linger.
+        assert workers
+        assert not orphans, f"workers outlived their killed parent: {orphans}"
 
         store = ResultStore(store_dir)
         survivors = len(store.completed())

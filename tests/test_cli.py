@@ -46,15 +46,28 @@ class TestCLI:
         payload = json.loads(out_file.read_text())
         assert payload["open_spans"] == 0
         names = set()
+        transients = []
 
         def walk(node):
             names.add(node["name"])
+            if node["name"] == "circuit.transient":
+                transients.append(node["attrs"])
             for child in node.get("children", []):
                 walk(child)
 
         for root in payload["spans"]:
             walk(root)
-        assert {"flow.peec", "peec.assembly", "circuit.transient"} <= names
+        assert {"flow.peec", "peec.assembly", "circuit.transient",
+                "circuit.transient.factor"} <= names
+        # The transient says how it stepped: one block, re-run step by
+        # step only if an (ambient, chaos-mode) fault hit it.
+        assert transients
+        for attrs in transients:
+            assert attrs["path"] == "block"
+            assert attrs["product"] in ("dense", "csr")
+            assert attrs["rung"] in ("lu", "equilibrated")
+            assert attrs["blocks"] == 1
+            assert attrs["replayed"] in (0, 1)
         # The headline metrics are always present, even when zero.
         counters = payload["metrics"]["counters"]
         assert "extraction.cache.misses" in counters
