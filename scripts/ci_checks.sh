@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: unit tests, the repo-specific AST lint, and the electrical
-# rule check over every shipped example.  Everything must be green.
+# Tier-1 gate: unit tests, the repo-specific static analysis, and the
+# electrical rule check over every shipped example.  All must be green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,10 +34,6 @@ echo "== paper-shape benchmarks (Figures 1-9, Section 4, SINO, grid noise) =="
 # The bench_*.py assertions: orderings, trends and counts, no timings
 # except the Table-1 LOOP-vs-RLC run-time claim; ~35 s.
 python -m pytest benchmarks --benchmark-disable --ignore=benchmarks/e2e -q
-
-echo
-echo "== repro.qa.astlint over src =="
-python -m repro.qa.astlint src
 
 echo
 echo "== repro analyze over src/repro (baseline-ratcheted) =="

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.linalg import (
-    ResilientFactorization,
-    SweepAssembler,
-    add_gmin,
-)
+from repro.circuit.linalg import add_gmin
 from repro.obs.trace import span
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import current_run_report
@@ -105,9 +101,9 @@ def ac_analysis(
         gmin: Optional node-diagonal leak for near-singular topologies.
         policy: Resilience policy for the escalation chain; default from
             ``REPRO_RESILIENCE``.
-        workers: Process-pool width for the sweep (bit-identical to the
-            serial loop); default from ``REPRO_WORKERS`` / CPU count, 1
-            forces serial.
+        workers: Process-pool width for the sweep (bit-identical at any
+            width); default from ``REPRO_WORKERS`` / CPU count, 1 solves
+            in process.
 
     Returns:
         The sweep result.
@@ -125,39 +121,21 @@ def ac_analysis(
     b = _ac_rhs(system, stimulus)
     out = np.zeros((len(freqs), system.size), dtype=complex)
 
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
-    )
+    from repro.perf.parallel import SweepSpec, parallel_sweep, sweep_workers
 
-    num_workers = worker_count(workers)
-    use_pool = num_workers > 1 and len(freqs) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    )
+    workers = sweep_workers(workers, system.size)
     with span(
         "circuit.ac", points=len(freqs), size=system.size,
-        workers=num_workers if use_pool else 1,
+        workers=workers if len(freqs) > 1 else 1,
     ):
-        if use_pool:
-            spec = SweepSpec(
-                g_matrix=g_matrix, c_matrix=c_matrix, b=b,
-                site="ac", policy=policy,
-            )
-            parallel_sweep(
-                spec, freqs, out, workers=num_workers,
-                report=current_run_report(),
-            )
-            return ACResult(frequencies=freqs, x=out, system=system)
-
-        # Union pattern (or operator system) assembled once; each point
-        # only writes a fresh data vector / builds a thin OperatorSystem.
-        assembler = SweepAssembler(g_matrix, c_matrix)
-        for i, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            out[i] = ResilientFactorization(
-                assembler.at_omega(omega), site="ac", policy=policy
-            ).solve(b)
-        return ACResult(frequencies=freqs, x=out, system=system)
+        spec = SweepSpec(
+            g_matrix=g_matrix, c_matrix=c_matrix, b=b,
+            site="ac", policy=policy,
+        )
+        parallel_sweep(
+            spec, freqs, out, workers=workers, report=current_run_report(),
+        )
+    return ACResult(frequencies=freqs, x=out, system=system)
 
 
 def ac_impedance(
@@ -173,7 +151,7 @@ def ac_impedance(
     A unit AC current is injected into ``port[0]`` and extracted from
     ``port[1]``; the returned impedance is their voltage difference.
     ``workers > 1`` fans the sweep out over a process pool with results
-    identical to the serial loop.
+    identical to the in-process sweep.
     """
     system = _as_system(circuit_or_system)
     policy = policy or default_policy()
@@ -191,36 +169,17 @@ def ac_impedance(
         b[i_minus] -= 1.0
     z = np.zeros(len(freqs), dtype=complex)
 
-    from repro.perf.parallel import (
-        MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-        worker_count,
-    )
+    from repro.perf.parallel import SweepSpec, parallel_sweep, sweep_workers
 
-    num_workers = worker_count(workers)
-    use_pool = num_workers > 1 and len(freqs) > 1 and (
-        explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-    )
+    workers = sweep_workers(workers, system.size)
     with span(
         "circuit.ac.impedance", points=len(freqs), size=system.size,
-        workers=num_workers if use_pool else 1,
+        workers=workers if len(freqs) > 1 else 1,
     ):
-        if use_pool:
-            spec = SweepSpec(
-                g_matrix=g_matrix, c_matrix=c_matrix, b=b,
-                site="ac", policy=policy, port=(i_plus, i_minus),
-            )
-            return parallel_sweep(
-                spec, freqs, z, workers=num_workers,
-                report=current_run_report(),
-            )
-
-        assembler = SweepAssembler(g_matrix, c_matrix)
-        for i, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            x = ResilientFactorization(
-                assembler.at_omega(omega), site="ac", policy=policy
-            ).solve(b)
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            z[i] = vp - vm
-        return z
+        spec = SweepSpec(
+            g_matrix=g_matrix, c_matrix=c_matrix, b=b,
+            site="ac", policy=policy, port=(i_plus, i_minus),
+        )
+        return parallel_sweep(
+            spec, freqs, z, workers=workers, report=current_run_report(),
+        )

@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli design
     python -m repro.cli export --out clocknet.sp
     python -m repro.cli check deck.sp script.py [--strict] [--sanitize]
-    python -m repro.cli lint src [--suppress QA104]
     python -m repro.cli analyze [src/repro] [--baseline qa/baseline.json]
                                 [--format json] [--out report.json]
     python -m repro.cli resume run.ckpt [--info] [--out waves.csv]
@@ -22,12 +21,11 @@ Usage::
 the Figure-3 extraction sweep, ``design`` the Figure 5-9 studies, and
 ``export`` writes the detailed PEEC model of the clock topology as a
 SPICE deck.  ``check`` runs the :mod:`repro.qa` electrical rule check
-over SPICE decks and/or the circuits built by Python scripts, and
-``lint`` runs the repo-specific AST lint -- both exit non-zero on
-error-severity findings.  ``analyze`` runs the project-wide dataflow
-lint (:mod:`repro.qa.analyze`): the QA101-QA107 syntax rules plus the
-QA201-QA207 semantic rules, with a ``--baseline`` ratchet so only *new*
-findings fail the gate.  ``resume`` picks a crashed transient or loop
+over SPICE decks and/or the circuits built by Python scripts, exiting
+non-zero on error-severity findings.  ``analyze`` runs the project-wide
+dataflow lint (:mod:`repro.qa.analyze`): the QA101-QA107 syntax rules
+plus the QA201-QA207 semantic rules, with a ``--baseline`` ratchet so
+only *new* findings fail the gate.  ``resume`` picks a crashed transient or loop
 sweep back up from its checkpoint file (see :mod:`repro.resilience`).
 ``bench`` times the hot paths (assembly, hierarchical-vs-exact assembly
 at Table-1 scale, sparsification, loop sweep serial vs parallel,
@@ -363,15 +361,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.qa import astlint
-
-    argv = list(args.paths)
-    for rule in args.suppress:
-        argv += ["--suppress", rule]
-    return astlint.main(argv)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.qa.analyze import main as analyze_main
 
@@ -606,12 +595,6 @@ def main(argv: list[str] | None = None) -> int:
                               "was quarantined")
     add_trace_json(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_lint = sub.add_parser("lint", help="repo-specific AST lint")
-    p_lint.add_argument("paths", nargs="*", default=["src"])
-    p_lint.add_argument("--suppress", action="append", default=[],
-                        metavar="RULE")
-    p_lint.set_defaults(func=_cmd_lint)
 
     p_an = sub.add_parser(
         "analyze", help="project-wide dataflow lint (QA101-QA207)")

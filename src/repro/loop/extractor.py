@@ -30,7 +30,6 @@ import numpy as np
 from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import Circuit
 from repro.obs.trace import span
-from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     finish_checkpoint,
@@ -40,7 +39,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import InjectedFault
 from repro.resilience.policy import ResiliencePolicy, default_policy
-from repro.resilience.report import RunReport, activate, current_run_report
+from repro.resilience.report import RunReport, current_run_report
 from repro.extraction.filaments import FilamentGrid, filaments_for_skin_depth
 from repro.extraction.partial_matrix import extract_partial_inductance
 from repro.extraction.resistance import resistivity_of, segment_resistance
@@ -234,7 +233,9 @@ def _sweep_impedance(
     Functionally identical to :func:`repro.circuit.ac.ac_impedance`, but
     each frequency point is an individually retried unit of work
     (``"loop.freq"`` fault site) and completed points are periodically
-    snapshotted, so a killed sweep resumes instead of restarting.
+    snapshotted, so a killed sweep resumes instead of restarting.  An
+    unrecoverable point writes an emergency snapshot of every point
+    solved before it.
 
     A dense system first has its series nodes -- the filament midpoints
     that put each R in series with its L -- condensed out
@@ -244,15 +245,13 @@ def _sweep_impedance(
     factors only the remaining unknowns; the ``loop.sweep`` span records
     both sizes (``mna_size``, ``solve_size``).
 
-    With ``workers > 1`` the remaining points fan out over a process
-    pool (:mod:`repro.perf.parallel`); results are placed by index so
-    the impedance array is bit-identical to the serial sweep, and
-    checkpoints are written from completed-chunk results at the same
-    ``checkpoint.interval`` granularity.
+    The points run through :func:`repro.perf.parallel.parallel_sweep` at
+    every width.  With ``workers > 1`` the remaining points fan out over
+    a process pool; results are placed by index so the impedance array
+    is bit-identical to the in-process sweep, and checkpoints are
+    written every ``checkpoint.interval`` completed points either way.
     """
-    from repro.circuit.linalg import (
-        ResilientFactorization, SweepAssembler, add_gmin, condense,
-    )
+    from repro.circuit.linalg import add_gmin, condense
     from repro.circuit.mna import MNASystem
 
     with span(
@@ -331,99 +330,45 @@ def _sweep_impedance(
             )
 
         from repro.perf.parallel import (
-            MIN_PARALLEL_SIZE, SweepSpec, explicit_workers, parallel_sweep,
-            worker_count,
+            SweepSpec, parallel_sweep, sweep_workers,
         )
 
-        num_workers = worker_count(workers)
-        if num_workers > 1 and int((~done).sum()) > 1 and (
-            explicit_workers(workers) or system.size >= MIN_PARALLEL_SIZE
-        ):
-            spec = SweepSpec(
-                g_matrix=g_matrix,
-                c_matrix=c_matrix,
-                b=b,
-                site="loop",
-                retry_site="loop.freq",
-                policy=policy,
-                port=(i_plus, i_minus),
+        spec = SweepSpec(
+            g_matrix=g_matrix,
+            c_matrix=c_matrix,
+            b=b,
+            site="loop",
+            retry_site="loop.freq",
+            policy=policy,
+            port=(i_plus, i_minus),
+        )
+        since = 0
+
+        def on_done(i: int) -> None:
+            nonlocal since
+            done[i] = True
+            since += 1
+            if (
+                checkpoint is not None
+                and since >= checkpoint.interval
+                and not done.all()
+            ):
+                save("periodic")
+                since = 0
+
+        try:
+            parallel_sweep(
+                spec, freqs, z,
+                indices=np.nonzero(~done)[0],
+                workers=sweep_workers(workers, system.size),
+                chunk=checkpoint.interval if checkpoint is not None else None,
+                report=report,
+                on_done=on_done,
             )
-            since = 0
-
-            def on_chunk(idx: np.ndarray) -> None:
-                nonlocal since
-                done[idx] = True
-                since += len(idx)
-                if (
-                    checkpoint is not None
-                    and since >= checkpoint.interval
-                    and not done.all()
-                ):
-                    save("periodic")
-                    since = 0
-
-            with activate(report):
-                try:
-                    parallel_sweep(
-                        spec, freqs, z,
-                        indices=np.nonzero(~done)[0],
-                        workers=num_workers,
-                        chunk=(checkpoint.interval
-                               if checkpoint is not None else None),
-                        report=report,
-                        on_chunk=on_chunk,
-                    )
-                except (SingularCircuitError, InjectedFault):
-                    if checkpoint is not None:
-                        save("emergency: parallel sweep failed")
-                    raise
-            finish_checkpoint(checkpoint)
-            return z
-
-        since_checkpoint = 0
-        # Union pattern (or operator system) assembled once up front; each
-        # frequency point only writes a fresh data vector / builds a thin
-        # OperatorSystem around the shared preconditioner pattern.
-        assembler = SweepAssembler(g_matrix, c_matrix)
-        with activate(report):
-            for i, f in enumerate(freqs):
-                if done[i]:
-                    continue
-                omega = 2.0 * np.pi * f
-                a_matrix = assembler.at_omega(omega)
-                retries = 0
-                while True:
-                    try:
-                        faults.maybe_fail("loop.freq")
-                        x = ResilientFactorization(
-                            a_matrix, site="loop", policy=policy
-                        ).solve(b)
-                        break
-                    except (SingularCircuitError, InjectedFault) as exc:
-                        if retries < policy.max_retries:
-                            retries += 1
-                            report.record_retry(
-                                "loop",
-                                f"f = {f:.4g} Hz: retry "
-                                f"{retries}/{policy.max_retries}: {exc}",
-                            )
-                            continue
-                        if checkpoint is not None:
-                            save(f"emergency: f = {f:.4g} Hz failed")
-                        raise
-                vp = x[i_plus] if i_plus >= 0 else 0.0
-                vm = x[i_minus] if i_minus >= 0 else 0.0
-                z[i] = vp - vm
-                done[i] = True
-                since_checkpoint += 1
-                if (
-                    checkpoint is not None
-                    and since_checkpoint >= checkpoint.interval
-                    and not done.all()
-                ):
-                    save("periodic")
-                    since_checkpoint = 0
-
+        except (SingularCircuitError, InjectedFault) as exc:
+            if checkpoint is not None:
+                save(f"emergency: sweep failed: {exc}")
+            raise
         finish_checkpoint(checkpoint)
         return z
 

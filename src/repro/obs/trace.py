@@ -28,9 +28,9 @@ Mechanics:
   at stage granularity.
 * Process-pool workers start with no active trace; the worker body
   collects its spans under a private :class:`Trace` and ships the
-  serialized tree back with its results (mirroring how
-  :mod:`repro.perf.parallel` already forwards retry notes), and the
-  parent grafts it under its own open span with :func:`graft_spans`.
+  serialized tree back with its results, metrics and run report
+  (:func:`repro.resilience.supervisor.supervised_map`), and the parent
+  grafts it under its own open span with :func:`graft_spans`.
 * Exceptions mark the span ``status="error"`` with the exception text
   and re-raise; the span still closes, so a failed run yields a
   complete (leak-free) tree pointing at the stage that died.

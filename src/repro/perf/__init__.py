@@ -3,9 +3,9 @@
 Three independent pieces, all motivated by the ROADMAP's "as fast as the
 hardware allows" north star:
 
-* :mod:`repro.perf.parallel` -- process-pool parallelization of the
-  per-frequency sweeps in loop extraction and AC analysis, with
-  per-worker reuse of the assembled MNA system and graceful serial
+* :mod:`repro.perf.parallel` -- the per-frequency sweep behind loop
+  extraction and AC analysis, mapped over a supervised process pool
+  with per-worker reuse of the assembled MNA system and graceful serial
   fallback (``REPRO_WORKERS`` sets the default worker count).
 * :mod:`repro.perf.cache` -- content-addressed memoization of the dense
   partial-inductance assembly, in-process (LRU) and optionally on disk
@@ -25,13 +25,7 @@ from repro.perf.cache import (
     fingerprint_segments,
     quantize_alpha,
 )
-from repro.perf.parallel import (
-    SweepSpec,
-    chunk_indices,
-    parallel_sweep,
-    solve_points,
-    worker_count,
-)
+from repro.perf.parallel import SweepSpec, parallel_sweep, sweep_workers
 
 __all__ = [
     "LRUCache",
@@ -41,8 +35,6 @@ __all__ = [
     "fingerprint_segments",
     "quantize_alpha",
     "SweepSpec",
-    "chunk_indices",
     "parallel_sweep",
-    "solve_points",
-    "worker_count",
+    "sweep_workers",
 ]

@@ -72,7 +72,7 @@ class BenchConfig:
 
     @classmethod
     def for_mode(cls, smoke: bool, workers: int | None = None) -> "BenchConfig":
-        from repro.perf.parallel import worker_count
+        from repro.resilience.supervisor import worker_count
 
         resolved = workers if workers is not None else (
             2 if smoke else min(4, worker_count())

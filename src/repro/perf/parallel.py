@@ -1,44 +1,41 @@
-"""Process-pool parallel frequency sweeps over ``(G + j omega C) x = b``.
+"""Frequency sweeps over ``(G + j omega C) x = b``, at any pool width.
 
 The Section-5 loop extraction and the AC engine both solve one dense (or
-sparse) system per frequency point -- an embarrassingly parallel sweep
-that the serial loops in :mod:`repro.loop.extractor` and
-:mod:`repro.circuit.ac` leave on the table.  This module fans the points
-out over a process pool:
+sparse) system per frequency point -- an embarrassingly parallel sweep.
+:func:`parallel_sweep` is the one sweep loop behind
+:mod:`repro.loop.extractor` and :mod:`repro.circuit.ac`: it maps the
+point solver over the frequency indices with
+:func:`~repro.resilience.supervisor.supervised_map` (stage ``"perf"``),
+which
 
-* the assembled MNA matrices are shipped to each worker **once** (pool
-  initializer), so every worker amortizes setup across all the points it
-  solves -- the FastHenry/PRIMA lesson of reusing the expensive setup;
-* points are scheduled in contiguous index chunks (several per worker,
-  so a slow chunk cannot stall the tail);
-* each point runs the same retry loop as the serial path (``"raise"``
-  faults at the retry site are retried ``policy.max_retries`` times,
-  then propagate), and workers return their retry notes so the parent's
-  :class:`~repro.resilience.report.RunReport` stays complete;
-* results land in the output array **by index**, so the sweep is
-  bit-identical to the serial loop regardless of worker count, chunk
-  size, or completion order;
-* a pool that cannot be created (sandboxed environment, exhausted fds,
-  an injected ``"perf.pool"`` fault) degrades gracefully to the serial
-  path, recorded as a downgrade -- never a failure;
-* a *running* pool executes under the
-  :class:`~repro.resilience.supervisor.Supervisor`: chunks get
-  wall-clock deadlines, hung or killed workers are detected by the
-  watchdog and their chunks reissued to a restarted pool, poison points
-  are bisected out and quarantined as NaN rows, and a circuit breaker
-  trips to the serial path after ``max_pool_restarts`` (see
-  ``SupervisorConfig`` for the knobs, all overridable via
-  ``REPRO_DEADLINE`` / ``REPRO_TIME_BUDGET`` / ``REPRO_WORKER_RLIMIT_MB``).
+* solves every point in process at width 1;
+* otherwise ships the :class:`SweepSpec` -- the assembled MNA matrices
+  -- to each worker **once**, so every worker amortizes setup across all
+  the points it solves (the FastHenry/PRIMA lesson of reusing the
+  expensive setup), and runs contiguous chunks under the
+  :class:`~repro.resilience.supervisor.Supervisor`: deadlines, restarts
+  of hung or killed workers, poison points quarantined as NaN rows, and
+  a serial fallback when no pool can be created (an injected
+  ``"perf.pool"`` fault, a sandbox);
+* lands results in the output array **by index**, so the sweep is
+  bit-identical at any worker count, chunk size or completion order.
+
+Each point runs the one per-point retry loop, :meth:`SweepSpec.solve`:
+``"raise"`` faults at the retry site are retried ``policy.max_retries``
+times, then propagate.  Retries land in the active run report, which the
+map carries home from pool workers.
 
 Worker count resolves from the ``workers=`` argument, else the
-``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``.
+``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``; the
+implicit CPU-count default stays serial for small systems
+(:func:`sweep_workers`).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,20 +43,13 @@ import numpy as np
 from repro.circuit.linalg import (
     ResilientFactorization, SingularCircuitError, SweepAssembler,
 )
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import (
-    detached_stack, export_spans, graft_spans, span, tracing,
-)
 from repro.resilience import faults
 from repro.resilience.faults import InjectedFault
 from repro.resilience.policy import ResiliencePolicy, default_policy
-from repro.resilience.report import RunReport
+from repro.resilience.report import RunReport, current_run_report
 from repro.resilience.supervisor import (
-    Supervisor, SupervisorConfig, supervised_init,
+    SupervisorConfig, supervised_map, worker_count,
 )
-
-#: Target chunks handed out per worker; >1 so stragglers rebalance.
-OVERSUBSCRIBE = 4
 
 #: Below this many MNA unknowns, fork + pickle overhead beats the solves;
 #: implicit (CPU-count) parallelism stays serial for smaller systems.
@@ -82,58 +72,19 @@ def explicit_workers(requested: int | None = None) -> bool:
     return True
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Resolve the sweep worker count.
+def sweep_workers(requested: int | None, size: int) -> int:
+    """Pool width for a sweep over an MNA system of ``size`` unknowns.
 
-    Precedence: explicit argument, then ``REPRO_WORKERS``, then the CPU
-    count.  A count of 1 means "stay serial" (no pool is created).
-    Invalid or non-positive requests raise :class:`ValueError` naming
-    the offending value and where it came from.
+    ``size`` is the MNA size before any condensation.  The implicit
+    CPU-count default fans out only from :data:`MIN_PARALLEL_SIZE`
+    unknowns; an explicit request always wins.
     """
-    if requested is not None:
-        try:
-            count = int(requested)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"worker count must be an integer, got {requested!r}"
-            ) from None
-        source = f"workers={requested!r}"
-    else:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if raw:
-            try:
-                count = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_WORKERS must be an integer, got {raw!r}"
-                ) from None
-            source = f"REPRO_WORKERS={raw!r}"
-        else:
-            count = os.cpu_count() or 1
-            source = "cpu count"
-    if count < 1:
-        raise ValueError(
-            f"worker count must be >= 1, got {count} (from {source})"
-        )
-    return count
-
-
-def chunk_indices(
-    indices: np.ndarray, workers: int, chunk: int | None = None
-) -> list[np.ndarray]:
-    """Split point indices into contiguous chunks for scheduling.
-
-    The default chunk size gives each worker ~``OVERSUBSCRIBE`` chunks;
-    an explicit ``chunk`` overrides it (tests, checkpoint granularity).
-    """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        return []
-    if chunk is None:
-        chunk = max(1, math.ceil(indices.size / (OVERSUBSCRIBE * workers)))
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    return [indices[i:i + chunk] for i in range(0, indices.size, chunk)]
+    workers = worker_count(requested)
+    if workers > 1 and not (
+        explicit_workers(requested) or size >= MIN_PARALLEL_SIZE
+    ):
+        return 1
+    return workers
 
 
 @dataclass
@@ -163,11 +114,6 @@ class SweepSpec:
         default=None, init=False, repr=False, compare=False
     )
 
-    @property
-    def row_size(self) -> int:
-        """Output columns per point: 1 (port voltage) or the system size."""
-        return 1 if self.port is not None else len(self.b)
-
     def assembler(self) -> SweepAssembler:
         """The sweep assembler (union pattern / operator wrapper), built
         once per spec copy and reused across that copy's points."""
@@ -182,105 +128,45 @@ class SweepSpec:
         state["_assembler"] = None
         return state
 
+    def solve(self, f: float):
+        """Solve one frequency point: the port voltage, or the full vector.
 
-def solve_points(
-    spec: SweepSpec, freqs: np.ndarray
-) -> tuple[np.ndarray, list[str]]:
-    """Solve the given frequency points serially (worker body).
-
-    Returns ``(rows, retry_notes)`` where ``rows`` has one row per point
-    (port-reduced or full solution) and ``retry_notes`` describes every
-    per-point retry that was absorbed, for the parent's run report.
-    """
-    out = np.zeros((len(freqs), spec.row_size), dtype=complex)
-    notes: list[str] = []
-    with span("sweep.solve", points=len(freqs), site=spec.site):
-        _solve_points_into(spec, freqs, out, notes)
-    return out, notes
-
-
-def _solve_points_into(
-    spec: SweepSpec,
-    freqs: np.ndarray,
-    out: np.ndarray,
-    notes: list[str],
-) -> None:
-    assembler = spec.assembler()
-    for k, f in enumerate(freqs):
-        omega = 2.0 * np.pi * f
-        a_matrix = assembler.at_omega(omega)
+        A ``"raise"`` fault at the retry site (or a singular system) is
+        retried ``policy.max_retries`` times, each retry recorded in the
+        active run report, and then propagates.
+        """
+        a_matrix = self.assembler().at_omega(2.0 * np.pi * f)
         retries = 0
         while True:
             try:
-                if spec.retry_site is not None:
-                    faults.maybe_fail(spec.retry_site)
+                if self.retry_site is not None:
+                    faults.maybe_fail(self.retry_site)
                 x = ResilientFactorization(
-                    a_matrix, site=spec.site, policy=spec.policy
-                ).solve(spec.b)
+                    a_matrix, site=self.site, policy=self.policy
+                ).solve(self.b)
                 break
             except (SingularCircuitError, InjectedFault) as exc:
-                if spec.retry_site is not None and retries < spec.policy.max_retries:
-                    retries += 1
-                    notes.append(
+                if (self.retry_site is None
+                        or retries >= self.policy.max_retries):
+                    raise
+                retries += 1
+                report = current_run_report()
+                if report is not None:
+                    report.record_retry(
+                        self.site,
                         f"f = {f:.4g} Hz: retry "
-                        f"{retries}/{spec.policy.max_retries}: {exc}"
+                        f"{retries}/{self.policy.max_retries}: {exc}",
                     )
-                    continue
-                raise
-        if spec.port is not None:
-            i_plus, i_minus = spec.port
-            vp = x[i_plus] if i_plus >= 0 else 0.0
-            vm = x[i_minus] if i_minus >= 0 else 0.0
-            out[k, 0] = vp - vm
-        else:
-            out[k] = x
+        if self.port is None:
+            return x
+        i_plus, i_minus = self.port
+        vp = x[i_plus] if i_plus >= 0 else 0.0
+        vm = x[i_minus] if i_minus >= 0 else 0.0
+        return vp - vm
 
 
-# -- pool plumbing -----------------------------------------------------------
-
-_WORKER_SPEC: SweepSpec | None = None
-
-
-def _init_worker(spec: SweepSpec) -> None:
-    # The standard pool-initializer idiom: the spec is pickled once per
-    # worker process (not once per chunk) and parked in a module global
-    # that only that worker ever reads.  The parent never reads
-    # _WORKER_SPEC, so the per-process copies cannot diverge from
-    # anything.
-    global _WORKER_SPEC  # qa: ignore[QA203]
-    _WORKER_SPEC = spec
-
-
-def _solve_chunk(
-    chunk_id: int, freqs: np.ndarray
-) -> tuple[int, np.ndarray, list[str], list[dict], dict]:
-    """Worker body: solve one chunk under a private trace.
-
-    The worker has no access to the parent's collector, so it records
-    its spans in a local :class:`~repro.obs.trace.Trace` and ships the
-    serialized tree (plus its metrics export) back with the results --
-    the same channel the retry notes already use.  The registry is reset
-    per chunk: pool workers are persistent, and without the reset a
-    worker's second chunk would re-ship (and the parent re-merge) the
-    first chunk's counts.  The span stack is detached for the same
-    reason: a fork-started worker inherits the span that was open in the
-    parent at fork time, and without the detach the chunk span would
-    attach to that dead copy instead of the private trace.
-
-    The ``"perf.worker"`` disruption hook fires only here, in the pool
-    worker -- never on the serial path -- so injected hangs/crashes
-    exercise the supervisor without being able to stall a serial or
-    circuit-breaker fallback.
-    """
-    faults.maybe_disrupt("perf.worker")
-    obs_metrics.REGISTRY.reset()  # qa: ignore[QA203] -- worker-private registry, exported below
-    with detached_stack(), tracing() as trace:
-        with span("sweep.chunk", chunk=chunk_id, points=len(freqs)):
-            rows, notes = solve_points(_WORKER_SPEC, freqs)  # qa: ignore[QA203] -- set by _init_worker in this process
-    return (
-        chunk_id, rows, notes,
-        export_spans(trace), obs_metrics.REGISTRY.export(),
-    )
+def _solve_point(spec: SweepSpec, freqs: np.ndarray, i: int):
+    return spec.solve(freqs[i])
 
 
 def parallel_sweep(
@@ -291,10 +177,10 @@ def parallel_sweep(
     workers: int | None = None,
     chunk: int | None = None,
     report: RunReport | None = None,
-    on_chunk: Callable[[np.ndarray], None] | None = None,
+    on_done: Callable[[int], None] | None = None,
     config: SupervisorConfig | None = None,
 ) -> np.ndarray:
-    """Solve sweep points in parallel, filling ``out`` by index.
+    """Solve sweep points at any pool width, filling ``out`` by index.
 
     Args:
         spec: The assembled system and solve configuration.
@@ -304,14 +190,16 @@ def parallel_sweep(
             rows in ``indices`` are written.
         indices: Point indices still to solve (checkpoint resume skips
             completed ones); default all.
-        workers: Worker count (see :func:`worker_count`).
+        workers: Worker count (see
+            :func:`~repro.resilience.supervisor.worker_count`); 1 solves
+            in process.
         chunk: Points per scheduled chunk; default auto.
-        report: Run report receiving worker retry notes, supervision
-            events (timeouts, restarts, quarantines), the downgrade
-            record if the pool cannot be created, and chunk checkpoints'
-            bookkeeping (via ``on_chunk``).
-        on_chunk: Called with each completed chunk's indices *after* its
-            results are stored in ``out`` -- the checkpoint hook.
+        report: Run report receiving retries and escalated solves (from
+            workers too), supervision events (timeouts, restarts,
+            quarantines) and the downgrade record if the pool cannot be
+            created.
+        on_done: Called with each completed point's index *after* its
+            result is stored in ``out`` -- the checkpoint hook.
             Quarantined points pass through it too (their rows are NaN),
             so the checkpoint stream stays complete.
         config: Supervision knobs; default
@@ -319,112 +207,36 @@ def parallel_sweep(
 
     Returns:
         ``out``.  If any point fails even after retries, the exception
-        propagates after all already-completed chunk results have been
-        stored and reported via ``on_chunk`` (so an emergency checkpoint
-        sees every finished point).  Process-level failures -- hung or
-        killed workers, worker ``MemoryError`` -- do *not* propagate:
-        the supervisor reissues the work and, as a last resort,
-        quarantines the offending point as a NaN row.
+        propagates after every point completed before it has been stored
+        and reported via ``on_done`` (so an emergency checkpoint sees
+        every finished point).  Process-level failures -- hung or killed
+        workers, worker ``MemoryError`` -- do *not* propagate: the
+        supervisor reissues the work and, as a last resort, quarantines
+        the offending point as a NaN row.
     """
-    all_indices = (
-        np.arange(len(freqs)) if indices is None else np.asarray(indices, int)
-    )
-    workers = worker_count(workers)
-    cfg = config if config is not None else SupervisorConfig.from_env()
+    def store(i: int, row) -> None:
+        out[i] = row
+        if on_done is not None:
+            on_done(i)
 
-    def fill(idx: np.ndarray, rows: np.ndarray) -> None:
-        if spec.port is not None:
-            out[idx] = rows[:, 0]
-        else:
-            out[idx] = rows
-
-    def serial(todo: list[np.ndarray]) -> np.ndarray:
-        for idx in todo:
-            rows, notes = solve_points(spec, freqs[idx])
-            for note in notes:
-                if report is not None:
-                    report.record_retry(spec.site, note)
-            fill(idx, rows)
-            if on_chunk is not None:
-                on_chunk(idx)
-        return out
-
-    chunks = chunk_indices(all_indices, workers, chunk)
-    if workers == 1 or all_indices.size <= 1:
-        return serial(chunks)
-
-    pool_width = min(workers, len(chunks))
-
-    def make_executor():
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=supervised_init,
-            initargs=(cfg.rlimit_mb, _init_worker, (spec,)),
-        )
-
-    try:
-        faults.maybe_fail("perf.pool")
-        executor = make_executor()
-    except (InjectedFault, OSError, ImportError, PermissionError) as exc:
-        obs_metrics.counter("pool.fallback_serial").inc()
-        if report is not None:
-            report.record_downgrade(
-                "perf",
-                f"parallel sweep ({workers} workers)",
-                "serial sweep",
-                f"process pool unavailable: {exc}",
-            )
-        return serial(chunks)
-
-    obs_metrics.gauge("pool.workers").set(pool_width)
-    obs_metrics.counter("pool.chunks").inc(len(chunks))
-    obs_metrics.counter("pool.points").inc(int(all_indices.size))
-
-    def submit(pool, key: int, idx: np.ndarray):
-        return pool.submit(_solve_chunk, key, freqs[idx])
-
-    def on_result(idx: np.ndarray, payload) -> None:
-        _, rows, notes, worker_spans, worker_metrics = payload
-        graft_spans(worker_spans)
-        obs_metrics.REGISTRY.merge(worker_metrics)
-        for note in notes:
-            if report is not None:
-                report.record_retry(spec.site, note)
-        fill(idx, rows)
-        if on_chunk is not None:
-            on_chunk(idx)
-
-    def quarantine(point: int, reason: str) -> None:
-        # A poison point becomes a NaN row -- degraded data, not a sweep
-        # abort -- and still reaches the checkpoint stream via on_chunk.
-        out[point] = np.nan * (1.0 + 1.0j)
-        if on_chunk is not None:
-            on_chunk(np.array([point], dtype=int))
-
-    Supervisor(
-        executor=executor,
-        make_executor=make_executor,
-        submit=submit,
-        on_result=on_result,
-        solve_serial=lambda idx: serial([idx]),
-        quarantine=quarantine,
-        workers=pool_width,
-        config=cfg,
-        report=report,
+    supervised_map(
+        partial(_solve_point, spec, freqs),
+        np.arange(len(freqs)) if indices is None else indices,
         stage="perf",
-    ).run(chunks)
+        on_done=store,
+        quarantine=lambda i, reason: store(i, np.nan * (1.0 + 1.0j)),
+        workers=workers,
+        chunk=chunk,
+        report=report,
+        config=config,
+    )
     return out
 
 
 __all__ = [
-    "OVERSUBSCRIBE",
     "MIN_PARALLEL_SIZE",
     "explicit_workers",
-    "worker_count",
-    "chunk_indices",
+    "sweep_workers",
     "SweepSpec",
-    "solve_points",
     "parallel_sweep",
 ]

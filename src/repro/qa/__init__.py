@@ -8,8 +8,8 @@ inductance going non-passive) and against malformed inputs generally:
   (``repro check`` on the command line).
 * :mod:`~repro.qa.sanitize` -- opt-in runtime instrumentation of the MNA
   compiler, the transient engine, and every sparsifier strategy.
-* :mod:`~repro.qa.astlint` -- repo-specific source lint
-  (``python -m repro.qa.astlint src``).
+* :mod:`~repro.qa.analyze` -- project-wide source lint
+  (``repro analyze src/repro``).
 
 All layers report :class:`~repro.qa.diagnostics.Diagnostic` records.
 """
@@ -24,18 +24,6 @@ from repro.qa.sanitize import (
 )
 from repro.qa.collect import capture_circuits, collect_circuits_from_script
 
-_ASTLINT_EXPORTS = ("LINT_RULES", "lint_file", "lint_paths")
-
-
-def __getattr__(name: str):
-    # Lazy so `python -m repro.qa.astlint` doesn't import the module twice
-    # (runpy warns when the target is already in sys.modules).
-    if name in _ASTLINT_EXPORTS:
-        from repro.qa import astlint
-
-        return getattr(astlint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Diagnostic",
     "DiagnosticReport",
@@ -46,9 +34,6 @@ __all__ = [
     "SanitizePolicy",
     "Sanitizer",
     "sanitize",
-    "LINT_RULES",
-    "lint_file",
-    "lint_paths",
     "capture_circuits",
     "collect_circuits_from_script",
 ]

@@ -1,8 +1,7 @@
 """Project-wide static analysis (``repro analyze``).
 
-Where :mod:`repro.qa.astlint` lints one file at a time with syntactic
-patterns, this package loads the whole project and runs *semantic*
-checkers over shared analysis passes:
+This package loads the whole project and runs the per-file syntactic
+lints and the *semantic* checkers over shared analysis passes:
 
 * :mod:`~repro.qa.analyze.project` -- module loader + import graph;
 * :mod:`~repro.qa.analyze.symbols` -- per-module alias resolution
@@ -12,8 +11,8 @@ checkers over shared analysis passes:
   definitions and a small abstract-value lattice (sorted-array,
   float-key, complex-scalar, rng-seeded, span-open, ...);
 * :mod:`~repro.qa.analyze.engine` -- the :class:`Rule` framework;
-* :mod:`~repro.qa.analyze.rules_syntax` -- QA101-QA107 (the astlint
-  rules, ported);
+* :mod:`~repro.qa.analyze.rules_syntax` -- QA101-QA107 (the per-file
+  syntactic lints);
 * :mod:`~repro.qa.analyze.rules_semantic` -- QA201-QA206 (the recurring
   numerics bug classes, encoded);
 * :mod:`~repro.qa.analyze.baseline` -- the ratchet: triaged existing

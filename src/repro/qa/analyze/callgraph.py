@@ -27,7 +27,7 @@ _SUBMIT_ATTRS = frozenset({"submit", "map", "apply_async", "starmap"})
 class FunctionInfo:
     """One function definition in the project."""
 
-    qualname: str  # "repro.perf.parallel._solve_chunk"
+    qualname: str  # "repro.resilience.supervisor._run_chunk"
     module: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
     callees: set[str] = field(default_factory=set)

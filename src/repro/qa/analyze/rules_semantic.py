@@ -12,7 +12,7 @@ QA201  array flows into ``np.interp``'s ``xp`` without a dominating sort
 QA202  raw float (or tuple containing one) used as a cache key without
        quantization -- the PR 3 alpha-keyed factor-cache bug.
 QA203  process-pool worker closes over / mutates module-level mutable
-       state -- fork-safety for the perf and scenarios pools.
+       state -- fork-safety for the supervised map's pool.
 QA204  obs span context manager never entered, or manually entered on a
        path where an early return/raise can skip the close.
 QA205  complex scalar narrowed by ``float()``/``int()`` -- resolved by
@@ -577,9 +577,9 @@ bet: its watchdog kills expired workers, which is what makes *its own*
 untimed waits terminate, so :mod:`repro.resilience.supervisor` is the
 one module exempt from this rule.
 
-Everywhere else, either route the pool through the supervisor (the
-``parallel_sweep``/``run_sweep`` paths already are) or make the wait
-bounded explicitly:
+Everywhere else, either map the work with ``supervised_map`` (the
+frequency sweeps and the scenario batches already do; it is the one
+code path that creates a pool) or make the wait bounded explicitly:
 
     rows = fut.result(timeout=deadline)       # bounded wait
     for rec in executor.map(f, items, timeout=deadline):

@@ -1,11 +1,10 @@
 """QA101-QA107: the per-file syntactic lints, ported into the engine.
 
-These began life in :mod:`repro.qa.astlint` as one ad-hoc visitor; here
-each is a registered :class:`~repro.qa.analyze.engine.Rule` sharing the
-engine's symbol tables (alias tracking is no longer re-implemented per
-rule) and suppression handling.  ``python -m repro.qa.astlint`` remains
-a thin shim over these rules, so the per-file CLI and its exit codes are
-unchanged.
+These began life as one ad-hoc per-file visitor; here each is a
+registered :class:`~repro.qa.analyze.engine.Rule` sharing the engine's
+symbol tables (alias tracking is no longer re-implemented per rule) and
+suppression handling.  ``repro analyze`` runs them with the semantic
+rules; ``analyze_paths(paths, rules=SYNTAX_RULE_IDS)`` runs them alone.
 """
 
 from __future__ import annotations
@@ -362,7 +361,7 @@ exempt (fresh entropy is sometimes the point).""",
 ))
 
 
-#: The per-file lint catalog, for the astlint compatibility shim.
+#: The per-file syntactic rules, runnable alone through ``rules=``.
 SYNTAX_RULE_IDS = ("QA101", "QA102", "QA103", "QA104", "QA105", "QA106",
                    "QA107")
 

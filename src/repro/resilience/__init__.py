@@ -17,10 +17,10 @@ runs alive through all of that:
 * :mod:`~repro.resilience.degrade` -- sparsifier fallback chain
   (requested -> block-diagonal -> dense) with logged downgrades.
 * :mod:`~repro.resilience.supervisor` / :mod:`~repro.resilience.budget`
-  -- the supervised execution runtime over the process-pool sweeps:
-  per-chunk deadlines from a sweep time budget, a hung/killed-worker
-  watchdog with pool restarts, poison-point quarantine, and a
-  pool-to-serial circuit breaker.
+  -- :func:`supervised_map`, the one map every sweep runs through, and
+  its supervised process pool: per-chunk deadlines from a sweep time
+  budget, a hung/killed-worker watchdog with pool restarts, poison-point
+  quarantine, and a pool-to-serial circuit breaker.
 
 The escalation chain itself lives in
 :class:`repro.circuit.linalg.ResilientFactorization`, next to the raw
@@ -56,6 +56,7 @@ from repro.resilience.supervisor import (
     Supervisor,
     SupervisorConfig,
     supervised_init,
+    supervised_map,
 )
 
 __all__ = [
@@ -84,4 +85,5 @@ __all__ = [
     "SupervisorConfig",
     "TimeBudget",
     "supervised_init",
+    "supervised_map",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 
@@ -172,6 +172,20 @@ class RunReport:
 
     def attach_solve_report(self, report: SolveReport) -> None:
         self.solve_reports.append(report)
+
+    def merge(self, other: "RunReport") -> None:
+        """Fold in a report recorded elsewhere (a pool worker's chunk).
+
+        Its events' span paths are re-rooted under the span open here,
+        where the worker's span tree is grafted too.
+        """
+        from repro.obs.trace import current_span_path
+
+        prefix = current_span_path()
+        for event in other.events:
+            path = "/".join(p for p in (prefix, event.span) if p)
+            self.events.append(replace(event, span=path))
+        self.solve_reports.extend(other.solve_reports)
 
     # -- queries -----------------------------------------------------------
 

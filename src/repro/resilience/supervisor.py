@@ -1,8 +1,16 @@
 """Supervised process-pool execution: deadlines, watchdog, quarantine.
 
-The plain pool paths in :mod:`repro.perf.parallel` and
-:mod:`repro.scenarios.scheduler` share three failure modes that a
-long-running service cannot tolerate:
+:func:`supervised_map` is the one map over independent items in the
+repository -- the frequency sweeps of :mod:`repro.perf.parallel` and the
+scenario batches of :mod:`repro.scenarios.scheduler` both run through
+it -- and the only code that creates a process pool.  At width 1 it
+evaluates every item in process; otherwise it ships the item function to
+each worker once, runs contiguous chunks under a private trace, metrics
+registry and run report per chunk, and folds all three back into the
+parent as results land by index.
+
+A pool has three failure modes that a long-running service cannot
+tolerate:
 
 * a **hung worker** (pathological input, runaway solve, injected
   ``hang`` fault) stalls its chunk -- and therefore the sweep -- forever;
@@ -55,25 +63,34 @@ itself with the process-level failures the math cannot see.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
+from repro.obs.trace import (
+    detached_stack, export_spans, graft_spans, span, tracing,
+)
+from repro.resilience import faults
 from repro.resilience.budget import TimeBudget
-from repro.resilience.report import RunReport
+from repro.resilience.faults import InjectedFault
+from repro.resilience.report import RunReport, activate
 
 #: Environment knobs (all optional; explicit arguments win).
 RLIMIT_ENV = "REPRO_WORKER_RLIMIT_MB"
 DEADLINE_ENV = "REPRO_DEADLINE"
 TIME_BUDGET_ENV = "REPRO_TIME_BUDGET"
+
+#: Target chunks handed out per worker; >1 so stragglers rebalance.
+OVERSUBSCRIBE = 4
 
 #: Ceiling on the exponential restart backoff [s].
 BACKOFF_MAX = 2.0
@@ -84,6 +101,60 @@ DRAIN_TIMEOUT = 10.0
 
 #: How often a pool worker checks that its parent still lives [s].
 PARENT_POLL_SECONDS = 0.5
+
+
+def worker_count(requested: int | None = None) -> int:
+    """Resolve the pool width.
+
+    Precedence: explicit argument, then ``REPRO_WORKERS``, then the CPU
+    count.  A count of 1 means "stay in process" (no pool is created).
+    Invalid or non-positive requests raise :class:`ValueError` naming
+    the offending value and where it came from.
+    """
+    if requested is not None:
+        try:
+            count = int(requested)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"worker count must be an integer, got {requested!r}"
+            ) from None
+        source = f"workers={requested!r}"
+    else:
+        raw = os.environ.get("REPRO_WORKERS", "").strip()
+        if raw:
+            try:
+                count = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"REPRO_WORKERS must be an integer, got {raw!r}"
+                ) from None
+            source = f"REPRO_WORKERS={raw!r}"
+        else:
+            count = os.cpu_count() or 1
+            source = "cpu count"
+    if count < 1:
+        raise ValueError(
+            f"worker count must be >= 1, got {count} (from {source})"
+        )
+    return count
+
+
+def chunk_indices(
+    indices: np.ndarray, workers: int, chunk: int | None = None
+) -> list[np.ndarray]:
+    """Split item indices into contiguous chunks for scheduling.
+
+    The default chunk size gives each worker ~``OVERSUBSCRIBE`` chunks;
+    an explicit ``chunk`` overrides it (tests, checkpoint granularity).
+    """
+    indices = np.asarray(indices, dtype=int)
+    if indices.size == 0:
+        return []
+    if chunk is None:
+        chunk = max(1, math.ceil(indices.size / (OVERSUBSCRIBE * workers)))
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    return [indices[i:i + chunk] for i in range(0, indices.size, chunk)]
 
 
 def _positive_float(raw: str, what: str) -> float:
@@ -245,6 +316,47 @@ def supervised_init(
     _apply_rlimit(rlimit_mb)
     if inner is not None:
         inner(*inner_args)
+
+
+_WORKER_FN: Callable[[int], object] | None = None
+
+
+def _set_worker_fn(fn: Callable[[int], object]) -> None:
+    # The standard pool-initializer idiom: the item function is pickled
+    # once per worker process (not once per chunk) and parked in a module
+    # global that only that worker ever reads.  The parent never reads
+    # _WORKER_FN, so the per-process copies cannot diverge from anything.
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _run_chunk(
+    stage: str, key: int, idx: np.ndarray
+) -> tuple[list, list[dict], dict, RunReport]:
+    """Worker body: evaluate one chunk, shipping its records home.
+
+    The worker has no access to the parent's collector, registry or run
+    report, so the chunk records into private ones and returns them with
+    its results.  The registry is reset per chunk: pool workers are
+    persistent, and without the reset a worker's second chunk would
+    re-ship (and the parent re-merge) the first chunk's counts.  The span
+    stack is detached and a fresh report activated for the same reason a
+    fork-started worker needs them: it inherits the span and the report
+    that were open in the parent at fork time, and anything recorded
+    into those copies never reaches the parent.
+
+    The ``"<stage>.worker"`` disruption hook fires only here, in the pool
+    worker -- never in process -- so injected hangs/crashes exercise the
+    supervisor without being able to stall a serial or circuit-breaker
+    fallback.
+    """
+    faults.maybe_disrupt(f"{stage}.worker")
+    obs_metrics.REGISTRY.reset()  # qa: ignore[QA203] -- worker-private registry, exported below
+    report = RunReport()
+    with detached_stack(), tracing() as trace, activate(report):
+        with span("supervisor.chunk", stage=stage, chunk=key, items=len(idx)):
+            results = [_WORKER_FN(int(i)) for i in idx]  # qa: ignore[QA203] -- set by _set_worker_fn in this process
+    return results, export_spans(trace), obs_metrics.REGISTRY.export(), report
 
 
 def _kill_pool(executor) -> None:
@@ -776,14 +888,130 @@ class Supervisor:
         return stats
 
 
+def supervised_map(
+    fn: Callable[[int], object],
+    indices,
+    *,
+    stage: str,
+    on_done: Callable[[int, object], None],
+    quarantine: Callable[[int, str], None],
+    workers: int | None = None,
+    chunk: int | None = None,
+    report: RunReport | None = None,
+    config: SupervisorConfig | None = None,
+) -> None:
+    """Evaluate ``fn(i)`` for every index, in process or over a pool.
+
+    Results reach ``on_done(i, result)`` by index, so the outcome does
+    not depend on the width, the chunking or the completion order.
+
+    At width 1 (or with at most one index) every item is evaluated in
+    process, in index order, under no span of the map's own; each result
+    reaches ``on_done`` as soon as it is computed.  Otherwise ``fn`` is
+    shipped to each worker once and contiguous chunks run under the
+    :class:`Supervisor`; each chunk's spans are grafted under
+    ``supervisor.run``, its metrics merged into the registry and its run
+    report merged into ``report``.  A pool that cannot be created (an
+    injected ``"<stage>.pool"`` fault, a sandbox, exhausted fds) falls
+    back to the in-process path, recorded as a downgrade.
+
+    Args:
+        fn: Item function; must pickle when ``workers > 1``.
+        indices: Item indices to evaluate.
+        stage: Report/metric stage label; also names the fault sites
+            ``"<stage>.pool"`` and ``"<stage>.worker"``.
+        on_done: Receives each completed item.
+        quarantine: ``quarantine(i, reason)`` -- record an item the
+            supervisor gave up on as a degraded result.
+        workers: Pool width (:func:`worker_count` resolution).
+        chunk: Items per chunk; default auto (:func:`chunk_indices`).
+        report: Run report, active while items are evaluated in process;
+            it receives worker chunks' reports, supervision events and
+            the downgrade record.
+        config: Supervision knobs; default :meth:`SupervisorConfig.from_env`.
+
+    An exception from ``fn`` propagates after every item completed before
+    it has reached ``on_done`` (so an emergency checkpoint sees every
+    finished item).
+    """
+    indices = np.asarray(indices, dtype=int)
+    workers = worker_count(workers)
+
+    def serial(idx: np.ndarray) -> None:
+        for i in idx:
+            on_done(int(i), fn(int(i)))
+
+    with activate(report) if report is not None else nullcontext():
+        if workers == 1 or indices.size <= 1:
+            serial(indices)
+            return
+        chunks = chunk_indices(indices, workers, chunk)
+        cfg = config if config is not None else SupervisorConfig.from_env()
+        width = min(workers, len(chunks))
+
+        def make_executor():
+            from concurrent.futures import ProcessPoolExecutor
+
+            return ProcessPoolExecutor(
+                max_workers=width,
+                initializer=supervised_init,
+                initargs=(cfg.rlimit_mb, _set_worker_fn, (fn,)),
+            )
+
+        try:
+            faults.maybe_fail(f"{stage}.pool")
+            executor = make_executor()
+        except (InjectedFault, OSError, ImportError, PermissionError) as exc:
+            obs_metrics.counter("pool.fallback_serial").inc()
+            if report is not None:
+                report.record_downgrade(
+                    stage, f"process pool ({workers} workers)", "serial",
+                    f"pool unavailable: {exc}",
+                )
+            serial(indices)
+            return
+
+        obs_metrics.gauge("supervisor.workers").set(width)
+        obs_metrics.counter("supervisor.chunks").inc(len(chunks))
+        obs_metrics.counter("supervisor.items").inc(int(indices.size))
+
+        def on_result(idx: np.ndarray, payload) -> None:
+            results, worker_spans, worker_metrics, chunk_report = payload
+            graft_spans(worker_spans)
+            obs_metrics.REGISTRY.merge(worker_metrics)
+            if report is not None:
+                report.merge(chunk_report)
+            for i, result in zip(idx, results):
+                on_done(int(i), result)
+
+        Supervisor(
+            executor=executor,
+            make_executor=make_executor,
+            submit=lambda pool, key, idx: pool.submit(
+                _run_chunk, stage, key, idx
+            ),
+            on_result=on_result,
+            solve_serial=serial,
+            quarantine=quarantine,
+            workers=width,
+            config=cfg,
+            report=report,
+            stage=stage,
+        ).run(chunks)
+
+
 __all__ = [
     "BACKOFF_MAX",
     "DEADLINE_ENV",
     "DRAIN_TIMEOUT",
+    "OVERSUBSCRIBE",
     "RLIMIT_ENV",
     "TIME_BUDGET_ENV",
     "SupervisionStats",
     "Supervisor",
     "SupervisorConfig",
+    "chunk_indices",
     "supervised_init",
+    "supervised_map",
+    "worker_count",
 ]

@@ -1,23 +1,23 @@
-"""Batch scheduler: shard scenario evaluations across a process pool.
+"""Batch scheduler: map scenario evaluations over a supervised pool.
 
-The scheduler reuses the :mod:`repro.perf.parallel` discipline wholesale:
+:func:`run_sweep` maps :func:`~repro.scenarios.runner.evaluate_scenario`
+over the scenarios still to compute with
+:func:`~repro.resilience.supervisor.supervised_map` (stage ``"sweep"``):
 
-* scenarios are scheduled in contiguous index chunks
-  (:func:`~repro.perf.parallel.chunk_indices`), several per worker;
-* each worker runs its shard under a private trace and ships the
-  serialized span tree + metrics export back with the records, which the
-  parent grafts into its own collector;
+* at width 1 every scenario is evaluated in process; otherwise the
+  scenario list is shipped to each worker once and contiguous chunks run
+  under the :class:`~repro.resilience.supervisor.Supervisor`, whose
+  workers ship their span trees, metrics and run reports home;
 * records land in the result list **by index**, so a sharded sweep is
   bit-identical to the serial one regardless of worker count or
   completion order;
 * a pool that cannot be created (sandbox, fd exhaustion, an injected
   ``"sweep.pool"`` fault) degrades to the serial path -- recorded as a
-  downgrade, never a failure -- and a *running* pool executes under the
-  :class:`~repro.resilience.supervisor.Supervisor`: shards get
-  wall-clock deadlines, hung or killed workers are detected and their
-  shards reissued to a restarted pool, poison scenarios are bisected out
-  and quarantined as ``status: "quarantined"`` records, and a circuit
-  breaker trips to the serial path after ``max_pool_restarts``;
+  downgrade, never a failure -- and a *running* pool gets chunk
+  deadlines, restarts of hung or killed workers, poison scenarios
+  bisected out and quarantined as ``status: "quarantined"`` records, and
+  a circuit breaker that trips to the serial path after
+  ``max_pool_restarts``;
 * every completed record is persisted to the
   :class:`~repro.scenarios.store.ResultStore` as it lands (per-scenario
   checkpointing), and on the next run stored records are resumed instead
@@ -27,20 +27,14 @@ The scheduler reuses the :mod:`repro.perf.parallel` discipline wholesale:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import (
-    detached_stack, export_spans, graft_spans, span, tracing,
-)
-from repro.resilience import faults
-from repro.resilience.faults import InjectedFault
+from repro.obs.trace import span
 from repro.resilience.report import RunReport
-from repro.resilience.supervisor import (
-    Supervisor, SupervisorConfig, supervised_init,
-)
-from repro.perf.parallel import chunk_indices, worker_count
+from repro.resilience.supervisor import SupervisorConfig, supervised_map
 from repro.scenarios.runner import evaluate_scenario, quarantined_record
 from repro.scenarios.spec import Scenario, SweepSpec
 from repro.scenarios.store import ResultStore
@@ -78,24 +72,8 @@ class SweepResult:
         )
 
 
-def _run_chunk(
-    chunk_id: int, scenarios: list[Scenario]
-) -> tuple[int, list[dict], list[dict], dict]:
-    """Worker body: evaluate one shard under a private trace.
-
-    Same contract as :func:`repro.perf.parallel._solve_chunk`: the
-    registry is reset per shard (pool workers persist across shards) and
-    the span stack is detached (a fork-started worker inherits the span
-    open in the parent at fork time), so the shipped span tree and
-    metrics cover exactly this shard.  The ``"sweep.worker"`` disruption
-    hook fires only here, never on the serial path.
-    """
-    faults.maybe_disrupt("sweep.worker")
-    obs_metrics.REGISTRY.reset()  # qa: ignore[QA203] -- worker-private registry, exported below
-    with detached_stack(), tracing() as trace:
-        with span("sweep.shard", shard=chunk_id, scenarios=len(scenarios)):
-            records = [evaluate_scenario(sc) for sc in scenarios]
-    return chunk_id, records, export_spans(trace), obs_metrics.REGISTRY.export()
+def _evaluate(scenarios: list[Scenario], i: int) -> dict:
+    return evaluate_scenario(scenarios[i])
 
 
 def run_sweep(
@@ -114,13 +92,14 @@ def run_sweep(
             explicit scenario list.
         store: Optional result store; completed records are persisted as
             they land and (with ``resume``) served back on the next run.
-        workers: Pool width (:func:`repro.perf.parallel.worker_count`
-            resolution: argument, then ``REPRO_WORKERS``, then CPU
-            count); 1 forces the serial path.
+        workers: Pool width
+            (:func:`repro.resilience.supervisor.worker_count` resolution:
+            argument, then ``REPRO_WORKERS``, then CPU count); 1 forces
+            the serial path.
         resume: Serve scenarios already in ``store`` instead of
             recomputing them.
-        chunk: Scenarios per shard; default auto
-            (:func:`~repro.perf.parallel.chunk_indices`).
+        chunk: Scenarios per chunk; default auto
+            (:func:`~repro.resilience.supervisor.chunk_indices`).
         report: Batch-level run report to append to; default fresh.
         config: Supervision knobs (deadlines, time budget, restart
             budget, worker rlimit); default
@@ -159,29 +138,27 @@ def run_sweep(
         todo = np.array(
             [i for i, r in enumerate(records) if r is None], dtype=int
         )
-        num_workers = worker_count(workers)
-        chunks = chunk_indices(todo, num_workers, chunk)
-        obs_metrics.counter("sweep.shards").inc(len(chunks))
 
-        def finish(idx: np.ndarray, recs: list[dict]) -> None:
-            for i, record in zip(idx, recs):
-                records[i] = record
-                if store is not None:
-                    store.store(record)
+        def finish(i: int, record: dict) -> None:
+            records[i] = record
+            if store is not None:
+                store.store(record)
 
-        def serial(shards: list[np.ndarray]) -> None:
-            for cid, idx in enumerate(shards):
-                with span("sweep.shard", shard=cid, scenarios=len(idx)):
-                    recs = [evaluate_scenario(scenarios[i]) for i in idx]
-                finish(idx, recs)
-
-        if num_workers == 1 or todo.size <= 1:
-            serial(chunks)
-        else:
-            _pooled(
-                scenarios, chunks, num_workers, report, finish, serial,
-                config,
-            )
+        supervised_map(
+            partial(_evaluate, scenarios),
+            todo,
+            stage="sweep",
+            on_done=finish,
+            # A poison scenario becomes a degraded record -- stored and
+            # aggregated like any other, never a batch abort.
+            quarantine=lambda i, reason: finish(
+                i, quarantined_record(scenarios[i], reason)
+            ),
+            workers=workers,
+            chunk=chunk,
+            report=report,
+            config=config,
+        )
 
     return SweepResult(
         records=records,  # type: ignore[arg-type]  # all filled above
@@ -189,75 +166,6 @@ def run_sweep(
         resumed=resumed,
         computed=int(todo.size),
     )
-
-
-def _pooled(
-    scenarios: list[Scenario],
-    chunks: list[np.ndarray],
-    workers: int,
-    report: RunReport,
-    finish,
-    serial,
-    config: SupervisorConfig | None = None,
-) -> None:
-    """Fan shards out over a supervised pool, mirroring ``parallel_sweep``."""
-    cfg = config if config is not None else SupervisorConfig.from_env()
-    pool_width = min(workers, len(chunks))
-
-    def make_executor():
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=supervised_init,
-            initargs=(cfg.rlimit_mb,),
-        )
-
-    try:
-        faults.maybe_fail("sweep.pool")
-        executor = make_executor()
-    except (InjectedFault, OSError, ImportError, PermissionError) as exc:
-        obs_metrics.counter("sweep.fallback_serial").inc()
-        report.record_downgrade(
-            "sweep",
-            f"sharded sweep ({workers} workers)",
-            "serial sweep",
-            f"process pool unavailable: {exc}",
-        )
-        serial(chunks)
-        return
-
-    obs_metrics.gauge("sweep.workers").set(pool_width)
-
-    def submit(pool, key: int, idx: np.ndarray):
-        return pool.submit(_run_chunk, key, [scenarios[i] for i in idx])
-
-    def on_result(idx: np.ndarray, payload) -> None:
-        _, recs, worker_spans, worker_metrics = payload
-        graft_spans(worker_spans)
-        obs_metrics.REGISTRY.merge(worker_metrics)
-        finish(idx, recs)
-
-    def quarantine(point: int, reason: str) -> None:
-        # A poison scenario becomes a degraded record -- stored and
-        # aggregated like any other, never a batch abort.
-        finish(
-            np.array([point], dtype=int),
-            [quarantined_record(scenarios[point], reason)],
-        )
-
-    Supervisor(
-        executor=executor,
-        make_executor=make_executor,
-        submit=submit,
-        on_result=on_result,
-        solve_serial=lambda idx: serial([idx]),
-        quarantine=quarantine,
-        workers=pool_width,
-        config=cfg,
-        report=report,
-        stage="sweep",
-    ).run(chunks)
 
 
 __all__ = ["SweepResult", "run_sweep"]

@@ -10,19 +10,15 @@ import pytest
 from repro.circuit.ac import ac_analysis, ac_impedance
 from repro.circuit.netlist import GROUND, Circuit
 from repro.loop.extractor import LoopPort, extract_loop_impedance
-from repro.perf.parallel import (
-    SweepSpec,
-    chunk_indices,
-    explicit_workers,
-    parallel_sweep,
-    worker_count,
-)
+from repro.perf.parallel import SweepSpec, explicit_workers, parallel_sweep
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointConfig, load_checkpoint
 from repro.resilience.faults import FaultSpec, InjectedFault, inject_faults
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import RunReport
-from repro.resilience.supervisor import SupervisorConfig
+from repro.resilience.supervisor import (
+    SupervisorConfig, chunk_indices, worker_count,
+)
 
 #: First fault is fatal: what the kill/resume scenario needs.
 BRITTLE = ResiliencePolicy(
@@ -296,7 +292,7 @@ class TestSupervisedSweep:
             parallel_sweep(
                 self.tiny(), freqs, out, workers=4, chunk=1,
                 report=report,
-                on_chunk=lambda idx: checkpointed.extend(int(i) for i in idx),
+                on_done=checkpointed.append,
                 config=SupervisorConfig(
                     deadline=0.4, heartbeat=0.02, max_chunk_retries=0,
                     max_pool_restarts=50, backoff_base=0.01,
@@ -346,6 +342,8 @@ class TestParallelCheckpointing:
                 )
         snap = load_checkpoint(path)
         assert 0 < int(snap.arrays["done"].sum()) < len(freqs)
+        # Every point solved before the failure is in the snapshot.
+        assert snap.arrays["done"].tolist() == [1, 1, 1, 0, 0, 0]
         # ...then finish it with the parallel path.
         with inject_faults():
             resumed = extract_loop_impedance(

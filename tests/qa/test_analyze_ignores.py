@@ -1,13 +1,14 @@
 """Tests for the shared ``# qa: ignore[...]`` comment parsing.
 
-This is the one suppression syntax used by both the per-file AST lint
-and the project-wide analyzer; the comma-separated list form and the
+This is the one suppression syntax used by both the per-file syntactic
+rules and the semantic ones; the comma-separated list form and the
 rule-aware handling of line-1 comments (QA103) regressed before, so
 both are pinned here.
 """
 
-from repro.qa import astlint
+from repro.qa.analyze import analyze_paths
 from repro.qa.analyze.ignores import is_suppressed, suppressed_rules
+from repro.qa.analyze.rules_syntax import SYNTAX_RULE_IDS
 
 
 class TestSuppressedRules:
@@ -75,14 +76,15 @@ class TestAstlintLineOneSuppression:
     ``_check_init_all`` treated *any* ignore comment as silencing
     QA103)."""
 
-    BODY = "from repro.qa import astlint\n"
+    BODY = "from repro.qa import erc\n"
 
     def _lint_init(self, tmp_path, first_line):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         init = pkg / "__init__.py"
         init.write_text(first_line + "\n" + self.BODY, encoding="utf-8")
-        return [d.rule for d in astlint.lint_file(init)]
+        result = analyze_paths([init], rules=SYNTAX_RULE_IDS)
+        return [d.rule for d in result.report]
 
     def test_fires_without_a_comment(self, tmp_path):
         assert "QA103" in self._lint_init(tmp_path, "# package")

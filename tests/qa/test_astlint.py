@@ -1,12 +1,22 @@
-"""Repo-specific AST lint: one fixture file per rule, plus the real tree."""
+"""The per-file syntactic rules (QA101-QA107): one fixture file per rule.
 
-from pathlib import Path
+They run alone through the analyzer, ``analyze_paths(paths,
+rules=SYNTAX_RULE_IDS)``; ``tests/qa/test_analyze_cli.py`` covers the
+``repro analyze`` command line and the shipped tree.
+"""
 
-import pytest
+from repro.qa.analyze import analyze_paths
+from repro.qa.analyze.rules_syntax import SYNTAX_RULE_IDS
 
-from repro.qa.astlint import LINT_RULES, lint_file, lint_paths, main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+def lint_paths(paths, suppress=()):
+    return analyze_paths(
+        paths, rules=SYNTAX_RULE_IDS, suppress=suppress
+    ).report
+
+
+def lint_file(path):
+    return list(lint_paths([path]))
 
 
 def lint_source(tmp_path, source, name="mod.py"):
@@ -282,25 +292,6 @@ class TestDriver:
         assert rules_fired(report) == {"QA101"}
         assert report.num_suppressed == 1
 
-    def test_main_exit_codes(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nx = np.linalg.inv(m)\n")
-        assert main([str(bad)]) == 1
-        assert "QA101" in capsys.readouterr().out
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert main([str(good)]) == 0
-
-    def test_missing_path_is_a_clean_error(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nowhere")]) == 2
-        assert "nowhere" in capsys.readouterr().err
-
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in LINT_RULES:
-            assert rule in out
-
 
 class TestQA107UnseededRng:
     def test_attribute_form_fires(self, tmp_path):
@@ -359,10 +350,3 @@ class TestQA107UnseededRng:
             "rng = np.random.default_rng()  # qa: ignore[QA107]\n"
         ))
         assert "QA107" not in rules_fired(findings)
-
-
-class TestRepositoryIsClean:
-    def test_src_tree_passes_the_lint(self):
-        # The PR's own acceptance bar: the shipped tree has no findings.
-        report = lint_paths([REPO_ROOT / "src"])
-        assert list(report) == [], report.format()

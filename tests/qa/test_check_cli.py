@@ -1,4 +1,4 @@
-"""The `repro check` / `repro lint` subcommands end to end."""
+"""The `repro check` subcommand end to end."""
 
 import textwrap
 from pathlib import Path
@@ -178,24 +178,6 @@ class TestCheckScripts:
         out = capsys.readouterr().out
         assert "sanitizer findings" in out
         assert "qa.non-spd" in out
-
-
-class TestLintSubcommand:
-    def test_lint_flags_explicit_inverse(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nx = np.linalg.inv(m)\n")
-        assert main(["lint", str(bad)]) == 1
-        assert "QA101" in capsys.readouterr().out
-
-    def test_lint_suppression_flag(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nx = np.linalg.inv(m)\n")
-        assert main(["lint", str(bad), "--suppress", "QA101"]) == 0
-
-    def test_lint_clean_file(self, tmp_path):
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert main(["lint", str(good)]) == 0
 
 
 @pytest.mark.slow

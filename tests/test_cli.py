@@ -201,8 +201,8 @@ class TestSweepCLI:
 
         trace = tmp_path / "sweep_trace.json"
         with inject_faults():
-            assert main(["sweep", "--smoke", "--trace-json",
-                         str(trace)]) == 0
+            assert main(["sweep", "--smoke", "--workers", "2",
+                         "--trace-json", str(trace)]) == 0
         capsys.readouterr()
         payload = json.loads(trace.read_text())
         names = set()
@@ -214,6 +214,7 @@ class TestSweepCLI:
 
         for root in payload["spans"]:
             walk(root)
-        assert {"sweep.scenarios", "sweep.shard", "sweep.scenario"} <= names
+        assert {"sweep.scenarios", "supervisor.chunk",
+                "sweep.scenario"} <= names
         counters = payload["metrics"]["counters"]
         assert counters.get("sweep.scenarios.ok") == 4
