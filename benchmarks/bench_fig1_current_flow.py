@@ -37,17 +37,15 @@ def case():
     )
 
 
-def test_bench_rising_edge(benchmark, case):
-    _RESULTS["rising input (output falls)"] = benchmark.pedantic(
-        lambda: run_current_decomposition(case, falling_input=False),
-        rounds=1, iterations=1,
+def test_bench_rising_edge(case):
+    _RESULTS["rising input (output falls)"] = run_current_decomposition(
+        case, falling_input=False
     )
 
 
-def test_bench_falling_edge(benchmark, case, paper_report):
-    _RESULTS["falling input (output rises)"] = benchmark.pedantic(
-        lambda: run_current_decomposition(case, falling_input=True),
-        rounds=1, iterations=1,
+def test_bench_falling_edge(case, paper_report):
+    _RESULTS["falling input (output rises)"] = run_current_decomposition(
+        case, falling_input=True
     )
 
     rows = []

@@ -31,7 +31,7 @@ def case():
     )
 
 
-def test_bench_model_build(benchmark, case, paper_report):
+def test_bench_model_build(case, paper_report):
     def build():
         model = build_peec_model(
             case.layout, PEECOptions(max_segment_length=80e-6)
@@ -41,7 +41,7 @@ def test_bench_model_build(benchmark, case, paper_report):
         attach_switching_activity(model, num_sources=6)
         return model
 
-    model = benchmark.pedantic(build, rounds=1, iterations=1)
+    model = build()
     stats = model.stats()
     layout_stats = case.layout.stats()
 

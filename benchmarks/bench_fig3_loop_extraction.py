@@ -28,7 +28,7 @@ def structure():
     )
 
 
-def test_bench_loop_sweep(benchmark, structure, paper_report):
+def test_bench_loop_sweep(structure, paper_report):
     layout, ports = structure
     port = LoopPort(
         signal=ports["driver"],
@@ -38,11 +38,8 @@ def test_bench_loop_sweep(benchmark, structure, paper_report):
     )
     freqs = np.logspace(7, 11, 13)
 
-    result = benchmark.pedantic(
-        lambda: extract_loop_impedance(
-            layout, port, freqs, max_segment_length=250e-6
-        ),
-        rounds=1, iterations=1,
+    result = extract_loop_impedance(
+        layout, port, freqs, max_segment_length=250e-6
     )
 
     ladder = fit_ladder(

@@ -32,7 +32,7 @@ def case():
     )
 
 
-def test_bench_fig4_waveforms(benchmark, case, paper_report):
+def test_bench_fig4_waveforms(case, paper_report):
     def run_all():
         return {
             "PEEC (RC)": run_peec_flow(case, include_inductance=False),
@@ -40,7 +40,7 @@ def test_bench_fig4_waveforms(benchmark, case, paper_report):
             "LOOP (RLC)": run_loop_flow(case),
         }
 
-    _RESULTS.update(benchmark.pedantic(run_all, rounds=1, iterations=1))
+    _RESULTS.update(run_all())
     rc = _RESULTS["PEEC (RC)"]
     rlc = _RESULTS["PEEC (RLC)"]
     loop = _RESULTS["LOOP (RLC)"]

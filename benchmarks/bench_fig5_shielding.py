@@ -15,14 +15,11 @@ from repro.analysis.report import format_table
 from repro.design.shielding import shielding_study
 
 
-def test_bench_shielding(benchmark, paper_report):
-    results = benchmark.pedantic(
-        lambda: shielding_study(
-            shield_spacings=(1e-6, 2e-6, 4e-6, 8e-6),
-            frequency=2e9,
-            length=1000e-6,
-        ),
-        rounds=1, iterations=1,
+def test_bench_shielding(paper_report):
+    results = shielding_study(
+        shield_spacings=(1e-6, 2e-6, 4e-6, 8e-6),
+        frequency=2e9,
+        length=1000e-6,
     )
     baseline = results[0]
     rows = []

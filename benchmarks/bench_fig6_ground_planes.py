@@ -20,12 +20,9 @@ from repro.analysis.report import format_table
 from repro.design.ground_plane import ground_plane_study
 
 
-def test_bench_ground_planes(benchmark, paper_report):
+def test_bench_ground_planes(paper_report):
     freqs = np.logspace(8, 10.7, 7)
-    results = benchmark.pedantic(
-        lambda: ground_plane_study(frequencies=freqs, length=1000e-6),
-        rounds=1, iterations=1,
-    )
+    results = ground_plane_study(frequencies=freqs, length=1000e-6)
     by_label = {r.label: r for r in results}
 
     rows = []

@@ -17,15 +17,12 @@ from repro.analysis.report import format_table
 from repro.design.interdigitate import interdigitation_study
 
 
-def test_bench_interdigitation(benchmark, paper_report):
-    results = benchmark.pedantic(
-        lambda: interdigitation_study(
-            finger_counts=(1, 2, 4, 8),
-            frequency=2e9,
-            length=1000e-6,
-            total_width=16e-6,
-        ),
-        rounds=1, iterations=1,
+def test_bench_interdigitation(paper_report):
+    results = interdigitation_study(
+        finger_counts=(1, 2, 4, 8),
+        frequency=2e9,
+        length=1000e-6,
+        total_width=16e-6,
     )
     rows = []
     for r in results:

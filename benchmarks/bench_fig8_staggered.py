@@ -17,11 +17,8 @@ from repro.analysis.report import format_table
 from repro.design.staggered import staggered_study
 
 
-def test_bench_staggered(benchmark, paper_report):
-    results = benchmark.pedantic(
-        lambda: staggered_study(length=800e-6, t_stop=0.8e-9),
-        rounds=1, iterations=1,
-    )
+def test_bench_staggered(paper_report):
+    results = staggered_study(length=800e-6, t_stop=0.8e-9)
     by_pattern = {r.pattern: r for r in results}
     rows = [
         [r.pattern, f"{r.victim_peak_noise * 1e3:.3f}"]

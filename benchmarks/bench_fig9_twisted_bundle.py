@@ -19,12 +19,9 @@ from repro.analysis.report import format_table
 from repro.design.twisted_bundle import twisted_bundle_study
 
 
-def test_bench_twisted_bundle(benchmark, paper_report):
-    results = benchmark.pedantic(
-        lambda: twisted_bundle_study(
-            num_regions=8, length=800e-6, t_stop=0.6e-9,
-        ),
-        rounds=1, iterations=1,
+def test_bench_twisted_bundle(paper_report):
+    results = twisted_bundle_study(
+        num_regions=8, length=800e-6, t_stop=0.6e-9,
     )
     by_style = {r.style: r for r in results}
     rows = [

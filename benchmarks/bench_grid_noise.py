@@ -55,7 +55,7 @@ def _run(decap_total: float | None) -> tuple[float, float]:
     return droop, bounce
 
 
-def test_bench_grid_noise(benchmark, paper_report):
+def test_bench_grid_noise(paper_report):
     cases = {
         "no decap": None,
         "decap, 20% switching": estimate_decoupling_capacitance(
@@ -69,7 +69,7 @@ def test_bench_grid_noise(benchmark, paper_report):
     def run_all():
         return {name: _run(total) for name, total in cases.items()}
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = run_all()
 
     rows = [
         [name,

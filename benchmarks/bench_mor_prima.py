@@ -14,8 +14,6 @@ reduction cost.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,7 @@ from repro.analysis.report import format_table
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
 from repro.mor import NodePort, combined_reduction
+from repro.obs.trace import span
 from repro.peec.model import PEECOptions, build_peec_model
 from repro.peec.package import PackageSpec, attach_package_to_nodes
 from repro.sparsify import BlockDiagonalSparsifier
@@ -70,14 +69,13 @@ def _reference(setup):
         )
         circuit.add_vsource("Vin", "vin", GROUND, case.input_ramp)
         circuit.add_resistor("Rdrv", "vin", drv, case.driver_resistance)
-    start = time.perf_counter()
-    result = transient_analysis(circuit, case.t_stop, case.dt,
-                                record=sink_nodes)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+    with span("bench.full_transient") as sp:
+        result = transient_analysis(circuit, case.t_stop, case.dt,
+                                    record=sink_nodes)
+    return result, sp.duration
 
 
-def test_bench_prima_order_sweep(benchmark, setup, paper_report):
+def test_bench_prima_order_sweep(setup, paper_report):
     case, model, drv, sink_nodes, pads = setup
 
     # Build a source-free copy of the linear circuit for reduction by
@@ -118,9 +116,9 @@ def test_bench_prima_order_sweep(benchmark, setup, paper_report):
             {name: (f"p_{name}", net) for name, (_, net) in pad_items},
             PackageSpec(),
         )
-        start = time.perf_counter()
-        res = transient_analysis(host, case.t_stop, case.dt)
-        sim_seconds = time.perf_counter() - start
+        with span("bench.rom_transient") as sp:
+            res = transient_analysis(host, case.t_stop, case.dt)
+        sim_seconds = sp.duration
         worst = 0.0
         for k, node in enumerate(lin_sinks):
             wave = comb.model.observe(res, "rom", node)
@@ -137,7 +135,7 @@ def test_bench_prima_order_sweep(benchmark, setup, paper_report):
     def sweep():
         return {order: run_order(order) for order in orders}
 
-    sweep_results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep_results = sweep()
 
     rows = []
     for order in orders:
@@ -172,7 +170,7 @@ def test_bench_prima_order_sweep(benchmark, setup, paper_report):
     assert all(10 * sweep_results[o][3] < full_unknowns for o in orders)
 
 
-def test_bench_active_ports_vs_all_ports(benchmark, setup, paper_report):
+def test_bench_active_ports_vs_all_ports(setup, paper_report):
     """The paper's refinement: "applying excitation sources only to the
     active ports, and not to the sinks."  Same target order; the
     active-port Krylov block is 5 wide (driver + 4 pads) instead of 21
@@ -209,22 +207,21 @@ def test_bench_active_ports_vs_all_ports(benchmark, setup, paper_report):
             ("active ports only", active),
             ("all ports (+ sinks)", active + lin_sinks),
         ):
-            start = time.perf_counter()
-            rom = prima_reduce(
-                system,
-                [NodePort(n, name=n) for n in ports],
-                order=order,
-                outputs=lin_sinks,
-                s0_hz=2e9,
-            )
-            elapsed = time.perf_counter() - start
+            with span("bench.prima_reduce") as sp:
+                rom = prima_reduce(
+                    system,
+                    [NodePort(n, name=n) for n in ports],
+                    order=order,
+                    outputs=lin_sinks,
+                    s0_hz=2e9,
+                )
             # Accuracy proxy: driving-point transfer from the driver port
             # to the sinks vs the full model.
             h = rom.transfer(freqs)[:, :, 0]
-            out[label] = (rom, elapsed, h)
+            out[label] = (rom, sp.duration, h)
         return out
 
-    results = benchmark.pedantic(reduce_both, rounds=1, iterations=1)
+    results = reduce_both()
 
     # Full-model reference transfer for the same input column.
     import numpy as np

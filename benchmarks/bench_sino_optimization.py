@@ -19,7 +19,7 @@ from repro.analysis.report import format_table
 from repro.design.sino import anneal_sino, greedy_sino, is_feasible, random_problem
 
 
-def test_bench_sino(benchmark, paper_report):
+def test_bench_sino(paper_report):
     seeds = tuple(range(8))
     problems = {seed: random_problem(num_nets=10, seed=seed) for seed in seeds}
 
@@ -31,7 +31,7 @@ def test_bench_sino(benchmark, paper_report):
             out[seed] = (greedy, annealed)
         return out
 
-    results = benchmark.pedantic(solve_all, rounds=1, iterations=1)
+    results = solve_all()
 
     rows = []
     total_saved = 0

@@ -30,6 +30,7 @@ from repro.circuit.transient import transient_analysis
 from repro.circuit.waveforms import Ramp
 from repro.extraction.partial_matrix import extract_for_layout
 from repro.geometry import build_signal_over_grid
+from repro.obs.trace import span
 from repro.peec.model import PEECOptions, build_peec_model
 from repro.sparsify import (
     BlockDiagonalSparsifier,
@@ -72,7 +73,7 @@ def _simulate(structure, sparsifier):
     return result.times, result.voltage(rcv)
 
 
-def test_bench_sparsification_ablation(benchmark, structure, paper_report):
+def test_bench_sparsification_ablation(structure, paper_report):
     layout, _ = structure
     # Extract on the same segmentation the simulated circuits use, so the
     # reported eigenvalues describe the matrices actually simulated.
@@ -114,7 +115,7 @@ def test_bench_sparsification_ablation(benchmark, structure, paper_report):
             out[name] = (blocks, mineig, times, wave, blew_up)
         return out
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = run_all()
     _, _, t_ref, v_ref, _ = results["dense (reference)"]
 
     rows = []
@@ -159,20 +160,17 @@ def test_bench_sparsification_ablation(benchmark, structure, paper_report):
     assert results["halo (return-limited)"][0].num_mutuals < dense_mutuals
 
 
-def test_bench_block_diagonal_tradeoff(benchmark, structure, paper_report):
+def test_bench_block_diagonal_tradeoff(structure, paper_report):
     """"The section size depends on a trade-off required between run-time
     and accuracy" -- sweep the section count and quantify both sides."""
-    import time
-
     t_ref, v_ref = _simulate(structure, DenseInductance())
 
     def sweep():
         out = {}
         for sections in (1, 2, 4, 8):
             strategy = BlockDiagonalSparsifier(num_sections=sections, axis=0)
-            start = time.perf_counter()
-            times, wave = _simulate(structure, strategy)
-            elapsed = time.perf_counter() - start
+            with span("bench.blockdiag_flow") as sp:
+                times, wave = _simulate(structure, strategy)
             err = compare_waveforms(t_ref, v_ref, times, wave).max_error
             # Mutual count for the report.
             layout, _ = structure
@@ -180,10 +178,10 @@ def test_bench_block_diagonal_tradeoff(benchmark, structure, paper_report):
 
             extraction, _ = extract_for_layout(layout)
             kept = strategy.apply(extraction).num_mutuals
-            out[sections] = (kept, elapsed, err)
+            out[sections] = (kept, sp.duration, err)
         return out
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     rows = [
         [sections, kept, f"{elapsed:.2f}", f"{err * 1e3:.2f}"]
         for sections, (kept, elapsed, err) in results.items()

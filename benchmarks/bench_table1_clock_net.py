@@ -41,25 +41,18 @@ def case():
     )
 
 
-def test_bench_peec_rc(benchmark, case):
-    _RESULTS["PEEC (RC)"] = benchmark.pedantic(
-        lambda: run_peec_flow(case, include_inductance=False),
-        rounds=1, iterations=1,
-    )
+def test_bench_peec_rc(case):
+    _RESULTS["PEEC (RC)"] = run_peec_flow(case, include_inductance=False)
     assert _RESULTS["PEEC (RC)"].worst_delay > 0
 
 
-def test_bench_peec_rlc(benchmark, case):
-    _RESULTS["PEEC (RLC)"] = benchmark.pedantic(
-        lambda: run_peec_flow(case), rounds=1, iterations=1,
-    )
+def test_bench_peec_rlc(case):
+    _RESULTS["PEEC (RLC)"] = run_peec_flow(case)
     assert _RESULTS["PEEC (RLC)"].worst_delay > 0
 
 
-def test_bench_loop_rlc(benchmark, case, paper_report):
-    _RESULTS["LOOP (RLC)"] = benchmark.pedantic(
-        lambda: run_loop_flow(case), rounds=1, iterations=1,
-    )
+def test_bench_loop_rlc(case, paper_report):
+    _RESULTS["LOOP (RLC)"] = run_loop_flow(case)
 
     rows = []
     for name in ("PEEC (RC)", "PEEC (RLC)", "LOOP (RLC)"):

@@ -2,9 +2,9 @@
 
 Every benchmark registers the table/series it reproduces through the
 ``paper_report`` fixture; the collected reports are printed in the
-terminal summary so a plain ``pytest benchmarks/ --benchmark-only`` run
-shows the rows the paper reports (element counts, delays, skews, R/L
-series, noise ratios) next to pytest-benchmark's timing table.
+terminal summary so a plain ``pytest benchmarks --ignore=benchmarks/e2e``
+run shows the rows the paper reports (element counts, delays, skews, R/L
+series, noise ratios).
 """
 
 from __future__ import annotations

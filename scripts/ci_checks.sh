@@ -33,7 +33,7 @@ echo
 echo "== paper-shape benchmarks (Figures 1-9, Section 4, SINO, grid noise) =="
 # The bench_*.py assertions: orderings, trends and counts, no timings
 # except the Table-1 LOOP-vs-RLC run-time claim; ~35 s.
-python -m pytest benchmarks --benchmark-disable --ignore=benchmarks/e2e -q
+python -m pytest benchmarks --ignore=benchmarks/e2e -q
 
 echo
 echo "== repro analyze over src/repro (baseline-ratcheted) =="
@@ -51,52 +51,6 @@ python -m repro.cli check examples/*.py
 echo
 echo "== repro trace smoke (span tree complete, root spans cover >= 95% of the flow) =="
 python -m repro.cli trace --die 250 --json /tmp/trace_ci_smoke.json
-
-echo
-echo "== repro bench --smoke vs checked-in baseline =="
-python -m repro.cli bench --smoke --out /tmp/bench_ci_smoke.json \
-    --baseline benchmarks/baseline_smoke.json --max-regression 2.0
-
-echo
-echo "== hierarchical-vs-exact smoke gate (ACA error + passivity) =="
-# compare_benchmarks already gates these when the baseline has the
-# section; this asserts them directly so the gate cannot silently lapse
-# if the baseline section is ever dropped.
-python - <<'PY'
-import json
-hier = json.load(open("/tmp/bench_ci_smoke.json"))["sections"]["hierarchical"]
-assert hier["max_rel_error"] <= 1e-3, \
-    f"hierarchical error {hier['max_rel_error']:.3e} exceeds 1e-3"
-assert hier["spd_ok"] is True, "hierarchical materialization not SPD"
-print(f"hierarchical smoke: n={hier['n']} err={hier['max_rel_error']:.2e} "
-      f"spd_ok={hier['spd_ok']} speedup={hier.get('speedup')}")
-PY
-
-echo
-echo "== iterative-vs-dense smoke gate (matrix-free solve path) =="
-# The Krylov tier must solve the hierarchical extraction without ever
-# materializing L (to_dense_calls == 0) and without falling back to the
-# dense direct rung, while matching the dense sweep to 1e-6.  The
-# near-field preconditioner must keep GMRES to at most 30 iterations per
-# solve on average (a repeatable count, not a timing): a weaker one
-# would only slow the sweep, never fail it.
-python - <<'PY'
-import json
-it = json.load(open("/tmp/bench_ci_smoke.json"))["sections"]["solve_iterative"]
-assert it["max_rel_error"] <= 1e-6, \
-    f"iterative solve error {it['max_rel_error']:.3e} exceeds 1e-6"
-assert it["to_dense_calls"] == 0, \
-    f"hierarchical operator densified {it['to_dense_calls']} time(s)"
-assert it["krylov_fallbacks"] == 0, \
-    f"{it['krylov_fallbacks']} Krylov solve(s) fell back to dense direct"
-assert it["krylov_iterations"] <= 30 * it["krylov_solves"], \
-    (f"{it['krylov_iterations']} GMRES iterations over "
-     f"{it['krylov_solves']} solves exceeds 30 per solve")
-print(f"solve_iterative smoke: err={it['max_rel_error']:.2e} "
-      f"gmres_iters={it['krylov_iterations']} "
-      f"solves={it['krylov_solves']} "
-      f"operator_bytes={it['operator_bytes']}")
-PY
 
 echo
 echo "== repro sweep --smoke (serial and sharded must be bit-identical) =="

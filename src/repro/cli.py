@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli analyze [src/repro] [--baseline qa/baseline.json]
                                 [--format json] [--out report.json]
     python -m repro.cli resume run.ckpt [--info] [--out waves.csv]
-    python -m repro.cli bench [--smoke] [--baseline benchmarks/baseline.json]
     python -m repro.cli trace [--die 300] [--json trace.json]
     python -m repro.cli sweep spec.json [--workers 4] [--store DIR]
                               [--no-resume] [--out results.json]
@@ -27,17 +26,13 @@ dataflow lint (:mod:`repro.qa.analyze`): the QA101-QA107 syntax rules
 plus the QA201-QA207 semantic rules, with a ``--baseline`` ratchet so
 only *new* findings fail the gate.  ``resume`` picks a crashed transient or loop
 sweep back up from its checkpoint file (see :mod:`repro.resilience`).
-``bench`` times the hot paths (assembly, hierarchical-vs-exact assembly
-at Table-1 scale, sparsification, loop sweep serial vs parallel,
-transient) and optionally gates against a checked-in baseline -- the
-hierarchical section also gates correctness (ACA error vs exact and the
-SPD/passivity check, see :mod:`repro.extraction.hierarchical`).  ``sweep`` runs a declarative scenario grid (design variant x
+``sweep`` runs a declarative scenario grid (design variant x
 geometry x sparsifier, see :mod:`repro.scenarios`) sharded over a
 process pool with per-scenario checkpointing and cross-run resume.  ``trace`` runs a small PEEC flow under the :mod:`repro.obs`
 span collector and prints the span tree plus the metrics registry,
 exiting non-zero on leaked (unclosed) spans, missing stages, or root
 spans covering less than 95% of the flow's wall clock; the
-``--trace-json`` flag on ``table1``/``run``/``loop``/``bench`` collects
+``--trace-json`` flag on ``table1``/``run``/``loop``/``sweep`` collects
 the same data around a full command and writes it as JSON.
 """
 
@@ -268,41 +263,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        BenchConfig,
-        compare_benchmarks,
-        default_output_path,
-        run_benchmarks,
-        write_report,
-    )
-
-    config = BenchConfig.for_mode(smoke=args.smoke, workers=args.workers)
-    report = run_benchmarks(config)
-    out = Path(args.out) if args.out else default_output_path()
-    write_report(report, out)
-    print(f"wrote {out}")
-    if args.baseline:
-        try:
-            baseline = json.loads(Path(args.baseline).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot read baseline {args.baseline}: {exc}")
-            return 2
-        problems = compare_benchmarks(
-            report.to_json(), baseline, max_regression=args.max_regression
-        )
-        for problem in problems:
-            print(f"bench: REGRESSION {problem}")
-        if problems:
-            return 1
-        print(f"bench: no regression vs {args.baseline} "
-              f"(allowed {args.max_regression:.1f}x)")
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -327,9 +287,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep: need a spec file or --smoke")
         return 2
 
-    from repro.resilience import SupervisorConfig
+    from repro.resilience.supervisor import SupervisorConfig, worker_count
 
     try:
+        workers = worker_count(args.workers)
         config = SupervisorConfig.from_env(
             deadline=args.deadline, time_budget=args.time_budget
         )
@@ -338,7 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     store = ResultStore(Path(args.store)) if args.store else None
     result = run_sweep(
-        spec, store=store, workers=args.workers, resume=args.resume,
+        spec, store=store, workers=workers, resume=args.resume,
         config=config,
     )
     print(format_comparison(
@@ -533,23 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     p_resume.add_argument("--out", default=None,
                           help="write the completed result as CSV")
     p_resume.set_defaults(func=_cmd_resume)
-
-    p_bench = sub.add_parser(
-        "bench", help="time the hot paths and write BENCH_<date>.json"
-    )
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="CI-sized configuration (seconds, not minutes)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="process-pool width for the parallel sweep")
-    p_bench.add_argument("--out", default=None,
-                         help="output JSON path (default BENCH_<date>.json)")
-    p_bench.add_argument("--baseline", default=None,
-                         help="compare against this BENCH JSON and exit "
-                              "non-zero on regression")
-    p_bench.add_argument("--max-regression", type=float, default=2.0,
-                         help="allowed slowdown factor vs baseline")
-    add_trace_json(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_trace = sub.add_parser(
         "trace", help="smoke-run a small PEEC flow under the span collector"

@@ -1,6 +1,6 @@
-"""Performance layer: parallel sweeps, extraction caching, benchmarks.
+"""Performance layer: parallel sweeps and extraction caching.
 
-Three independent pieces, all motivated by the ROADMAP's "as fast as the
+Two independent pieces, both motivated by the ROADMAP's "as fast as the
 hardware allows" north star:
 
 * :mod:`repro.perf.parallel` -- the per-frequency sweep behind loop
@@ -10,11 +10,9 @@ hardware allows" north star:
 * :mod:`repro.perf.cache` -- content-addressed memoization of the dense
   partial-inductance assembly, in-process (LRU) and optionally on disk
   (``REPRO_CACHE_DIR``), invalidated by any geometry or parameter change.
-* :mod:`repro.perf.bench` -- the ``repro bench`` harness: times assembly,
-  sparsification, the loop sweep (serial vs parallel), and the transient
-  on the Table-1 configuration and emits ``BENCH_<date>.json`` so every
-  future change has a regression baseline.  Imported lazily (it pulls in
-  the full flow stack).
+
+Run time is measured by the :mod:`repro.obs` spans, and speed claims
+come from the repeated end-to-end runs in ``benchmarks/e2e/``.
 """
 
 from repro.perf.cache import (

@@ -39,14 +39,8 @@ def _walk_calls(ctx: ModuleContext) -> Iterator[ast.Call]:
 
 def qa106_exempt(path: Path) -> bool:
     """Files allowed to call raw timers: the obs layer itself (it *is*
-    the timing machinery) and the benchmark harness (whose product is
-    raw wall-clock numbers)."""
-    posix = path.as_posix()
-    return (
-        "/obs/" in posix
-        or posix.endswith("perf/bench.py")
-        or path.parent.name == "obs"
-    )
+    the timing machinery)."""
+    return "/obs/" in path.as_posix() or path.parent.name == "obs"
 
 
 def qa107_exempt(path: Path) -> bool:
@@ -315,8 +309,7 @@ cannot account for it.  Wrap the stage:
         ...
     elapsed = sp.duration
 
-The obs layer itself and ``perf/bench.py`` are exempt (they *are* the
-timing machinery).""",
+The obs layer itself is exempt (it *is* the timing machinery).""",
     check=_check_qa106,
 ))
 

@@ -20,6 +20,7 @@ from repro.extraction.partial_matrix import (
 )
 from repro.geometry.segment import Direction, Segment
 from repro.scenarios.variants import VARIANTS, build_variant
+from repro.sparsify.stability import is_positive_definite
 
 #: Loose end-to-end bound: ACA's per-block relative Frobenius tolerance
 #: is DEFAULT_TOL = 1e-6; entrywise max error across all blocks stays
@@ -39,6 +40,12 @@ def stripe_grid(num_lines=12, pieces=6, pitch=4e-6, length=240e-6):
 
 def max_rel_error(approx, exact):
     return float(np.max(np.abs(approx - exact)) / np.max(np.abs(exact)))
+
+
+def operator_case(segments, leaf_size):
+    exact = extract_partial_inductance(segments).matrix
+    operator = build_hierarchical_operator(segments, leaf_size=leaf_size)
+    return segments, exact, operator
 
 
 class TestClusterTree:
@@ -138,10 +145,7 @@ class TestACA:
 class TestOperator:
     @pytest.fixture(scope="class")
     def case(self):
-        segments = stripe_grid()
-        exact = extract_partial_inductance(segments).matrix
-        operator = build_hierarchical_operator(segments, leaf_size=8)
-        return segments, exact, operator
+        return operator_case(stripe_grid(), leaf_size=8)
 
     def test_to_dense_matches_exact(self, case):
         _, exact, operator = case
@@ -151,6 +155,10 @@ class TestOperator:
         _, _, operator = case
         dense = operator.to_dense()
         assert np.array_equal(dense, dense.T)
+
+    def test_dense_is_positive_definite(self, case):
+        _, _, operator = case
+        assert is_positive_definite(operator.to_dense())
 
     def test_matvec_agrees_with_dense(self, case):
         _, _, operator = case
@@ -185,6 +193,15 @@ class TestOperator:
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
             build_hierarchical_operator(stripe_grid(4, 2), eta=0.0)
+
+
+class TestOperatorLargerGrid(TestOperator):
+    """The same checks on 15 stripes of 16 pieces at leaf size 16
+    (n = 240), a far field of 27 blocks."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return operator_case(stripe_grid(15, 16, length=200e-6), leaf_size=16)
 
 
 class TestVariantFamilies:

@@ -17,7 +17,6 @@ from repro.flows import _gnd_tap_near, build_clock_testcase
 from repro.loop.extractor import LoopPort, extract_loop_impedance
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracing
-from repro.perf.bench import BenchConfig
 from repro.resilience import inject_faults
 from repro.scenarios.variants import VARIANTS, build_variant
 
@@ -59,19 +58,16 @@ def test_operator_vs_dense_agreement(variant):
     assert obs_metrics.counter("solver.krylov_solves").value > solves0
 
 
-def _bench_smoke_loop():
-    """The ``repro bench --smoke`` loop sweep geometry and port.
+def _clock_loop():
+    """A small clock-net loop sweep geometry and port.
 
-    A 200 um die with 2 branches: 344 filaments at the sweep's top
+    A 200 um die with 2 branches of 60 um at 50 um stripe pitch, cut
+    into filaments of at most 120 um: 344 filaments at the sweep's top
     frequency, enough for the hierarchical operator to compress a real
     far field (ACA ranks up to 8).
     """
-    config = BenchConfig.for_mode(smoke=True, workers=1)
     case = build_clock_testcase(
-        die=config.die,
-        num_branches=config.num_branches,
-        branch_length=config.branch_length,
-        stripe_pitch=config.stripe_pitch,
+        die=200e-6, num_branches=2, branch_length=60e-6, stripe_pitch=50e-6,
     )
     driver = case.ports.driver
     far = max(
@@ -84,7 +80,7 @@ def _bench_smoke_loop():
         short_signal=far,
         short_reference=_gnd_tap_near(case.layout, far.x, far.y),
     )
-    return case.layout, port, config.max_segment_length
+    return case.layout, port, 120e-6
 
 
 def test_near_field_preconditioner_on_a_real_far_field(monkeypatch):
@@ -94,8 +90,8 @@ def test_near_field_preconditioner_on_a_real_far_field(monkeypatch):
     A weak preconditioner would only slow the sweep down, never fail it,
     so this iteration bound is what catches one.
     """
-    layout, port, max_segment_length = _bench_smoke_loop()
-    freqs = [1e7, 10 ** 10.5]
+    layout, port, max_segment_length = _clock_loop()
+    freqs = np.logspace(7, 10.5, 6)
     operators = []
     true_init = linalg.SweepAssembler.__init__
 

@@ -135,13 +135,20 @@ class TestSweepCLI:
         assert "0 quarantined" in out
 
     def test_bad_supervision_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLINE", "soon")
-        assert main(["sweep", "--smoke"]) == 2
-        assert "REPRO_DEADLINE" in capsys.readouterr().out
+        for name, value in (("REPRO_DEADLINE", "soon"),
+                            ("REPRO_WORKERS", "abc")):
+            with monkeypatch.context() as env:
+                env.setenv(name, value)
+                assert main(["sweep", "--smoke"]) == 2
+            assert name in capsys.readouterr().out
 
     def test_bad_deadline_flag_exits_2(self, capsys):
-        assert main(["sweep", "--smoke", "--deadline", "-1"]) == 2
-        assert "deadline must be positive" in capsys.readouterr().out
+        for flags, message in (
+            (["--deadline", "-1"], "deadline must be positive"),
+            (["--workers", "0"], "worker count must be >= 1"),
+        ):
+            assert main(["sweep", "--smoke", *flags]) == 2
+            assert message in capsys.readouterr().out
 
     def test_needs_spec_or_smoke(self, capsys):
         assert main(["sweep"]) == 2
