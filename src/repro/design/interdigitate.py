@@ -54,7 +54,7 @@ def _signal_capacitance(layout, cap_model: CapacitanceModel) -> float:
     for seg in layout.segments:
         if layout.nets[seg.net].kind == NetKind.SIGNAL:
             total += cap_model.segment_ground_capacitance(seg, layout)
-    for i, j, c in cap_model.coupling_pairs(layout):
+    for i, j, c in cap_model.coupling_pairs(layout.segments):
         kinds = (
             layout.nets[layout.segments[i].net].kind,
             layout.nets[layout.segments[j].net].kind,

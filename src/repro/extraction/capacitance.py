@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.constants import EPS0, EPS_R_SIO2
 from repro.geometry.layout import Layout
+from repro.geometry.pairs import SegmentTable
 from repro.geometry.segment import Segment
 
 
@@ -109,31 +111,31 @@ class CapacitanceModel:
         return c_per_len * segment.length
 
     def coupling_pairs(
-        self, layout: Layout
+        self, segments: Sequence[Segment]
     ) -> list[tuple[int, int, float]]:
         """(i, j, C) coupling capacitances between adjacent parallel lines.
 
-        Only same-layer parallel segments with positive axial overlap and an
-        edge gap below ``coupling_max_gap`` couple; C is computed from the
-        overlap length.
+        Only same-layer parallel in-plane segments (vias are skipped) with
+        positive axial overlap and an edge gap in ``(0,
+        coupling_max_gap]`` couple; C is the per-length coupling times the
+        overlap length.  Indices point into ``segments``, and pairs come in
+        ``(i, j)`` order, the order callers sum them in.
         """
+        table = SegmentTable.from_segments(segments)
         out: list[tuple[int, int, float]] = []
-        segs = layout.segments
-        for i, j in layout.parallel_pairs():
-            si, sj = segs[i], segs[j]
-            if si.layer != sj.layer:
-                continue
-            overlap = si.axial_overlap(sj)
-            if overlap <= 0:
-                continue
-            gap = si.gap(sj)
-            if gap <= 0 or gap > self.coupling_max_gap:
-                continue
-            height = si.origin[2]
-            c_per_len = coupling_capacitance_per_length(
-                si.thickness, gap, height, min(si.width, sj.width), self.eps_r
-            )
-            c = c_per_len * overlap
-            if c > 0:
-                out.append((i, j, c))
+        for i, j in table.pairs(same_layer=True):
+            overlap = table.overlap(i, j)
+            gap = table.gap(i, j)
+            keep = (overlap > 0) & (gap > 0) & (gap <= self.coupling_max_gap)
+            for a, b, ov, g in zip(
+                i[keep].tolist(), j[keep].tolist(),
+                overlap[keep].tolist(), gap[keep].tolist(),
+            ):
+                sa, sb = segments[a], segments[b]
+                c = coupling_capacitance_per_length(
+                    sa.thickness, g, sa.origin[2], min(sa.width, sb.width),
+                    self.eps_r,
+                ) * ov
+                if c > 0:
+                    out.append((a, b, c))
         return out

@@ -45,6 +45,7 @@ from repro.extraction.partial_matrix import (
     reject_vias,
     structural_mutual_count,
 )
+from repro.geometry.pairs import SegmentTable
 from repro.geometry.segment import Segment
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -428,13 +429,6 @@ class HierarchicalPartialL:
 # -- builder -----------------------------------------------------------------
 
 
-def _group_corners(segments: list[Segment], indices: list[int]):
-    """(lo, hi) bounding-box corner arrays for a direction group."""
-    lo = np.array([segments[i].origin for i in indices], dtype=float)
-    hi = np.array([segments[i].end for i in indices], dtype=float)
-    return lo, hi
-
-
 def build_hierarchical_operator(
     segments: list[Segment],
     eta: float = DEFAULT_ETA,
@@ -468,23 +462,21 @@ def build_hierarchical_operator(
         "extraction.hierarchical", segments=n, eta=eta, tol=tol,
         leaf_size=leaf_size,
     ) as sp:
+        table = SegmentTable.from_segments(segments)
         for direction_axis in (0, 1):
-            indices = [
-                i for i, s in enumerate(segments)
-                if s.direction.axis == direction_axis
-            ]
-            if len(indices) < 2:
+            global_of = np.flatnonzero(table.axis == direction_axis)
+            if global_of.size < 2:
                 continue
-            arrays = _segment_arrays(segments, indices)
+            arrays = _segment_arrays(table, global_of)
             start, end, ta, tb, width, thick = arrays
-            global_of = np.array(indices)
 
             with span(
                 "hierarchical.tree", axis=direction_axis,
-                segments=len(indices),
+                segments=global_of.size,
             ):
                 root = build_cluster_tree(
-                    *_group_corners(segments, indices), leaf_size=leaf_size
+                    table.lo[global_of], table.hi[global_of],
+                    leaf_size=leaf_size,
                 )
                 near: list[tuple[Cluster, Cluster]] = []
                 far: list[tuple[Cluster, Cluster]] = []

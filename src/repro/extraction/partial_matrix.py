@@ -33,6 +33,7 @@ from repro.extraction.inductance import (
     self_inductance_bar,
 )
 from repro.geometry.layout import Layout
+from repro.geometry.pairs import SegmentTable
 from repro.geometry.segment import Direction, Segment
 from repro.obs.trace import span
 
@@ -125,18 +126,17 @@ def reject_vias(segments: list[Segment]) -> None:
             )
 
 
-def _segment_arrays(segments: list[Segment], indices: list[int]):
-    """Column arrays (start, end, trans-a, trans-b, width, thickness)."""
-    axis = segments[indices[0]].direction.axis
+def _segment_arrays(table: SegmentTable, indices: np.ndarray):
+    """Columns (start, end, trans-a, trans-b, width, thickness) of a
+    same-axis index group, read from the segment table."""
+    axis = int(table.axis[indices[0]])
     trans_axes = [a for a in range(3) if a != axis]
-    start = np.array([segments[i].axis_start for i in indices])
-    end = np.array([segments[i].axis_end for i in indices])
-    centers = np.array([segments[i].center for i in indices])
-    ta = centers[:, trans_axes[0]]
-    tb = centers[:, trans_axes[1]]
-    width = np.array([segments[i].width for i in indices])
-    thick = np.array([segments[i].thickness for i in indices])
-    return start, end, ta, tb, width, thick
+    centers = table.center[indices]
+    return (
+        table.start[indices], table.stop[indices],
+        centers[:, trans_axes[0]], centers[:, trans_axes[1]],
+        table.width[indices], table.thickness[indices],
+    )
 
 
 def _close_mask(
@@ -324,15 +324,13 @@ def _assemble_matrix(
     for i, seg in enumerate(segments):
         matrix[i, i] = self_inductance_bar(seg.length, seg.width, seg.thickness)
 
+    table = SegmentTable.from_segments(segments)
     for direction_axis in (0, 1):
-        indices = [
-            i for i, s in enumerate(segments) if s.direction.axis == direction_axis
-        ]
-        if len(indices) < 2:
+        idx = np.flatnonzero(table.axis == direction_axis)
+        if idx.size < 2:
             continue
-        start, end, ta, tb, width, thick = _segment_arrays(segments, indices)
-        idx = np.array(indices)
-        m = len(indices)
+        start, end, ta, tb, width, thick = _segment_arrays(table, idx)
+        m = idx.size
         for r0 in range(0, m, block):
             r1 = min(r0 + block, m)
             rows = slice(r0, r1)

@@ -13,10 +13,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import networkx as nx
+import numpy as np
 
+from repro.geometry.pairs import BLOCK, SegmentTable
 from repro.geometry.segment import Direction, Layer, Segment
 
 #: Quantization grid for node identification [m].  Points closer than this
@@ -271,24 +273,6 @@ class Layout:
         his = [max(s.end[a] for s in self.segments) for a in range(3)]
         return (tuple(los), tuple(his))
 
-    def parallel_pairs(self) -> Iterator[tuple[int, int]]:
-        """Index pairs (i < j) of mutually parallel in-plane segments.
-
-        These are the pairs that receive mutual-inductance entries in the
-        PEEC model ("Mutual inductances between all pairs of parallel
-        segments").
-        """
-        for i in range(len(self.segments)):
-            si = self.segments[i]
-            if si.direction == Direction.Z:
-                continue
-            for j in range(i + 1, len(self.segments)):
-                sj = self.segments[j]
-                if sj.direction == Direction.Z:
-                    continue
-                if si.is_parallel(sj):
-                    yield (i, j)
-
     # -- connectivity ---------------------------------------------------------
 
     def via_endpoints(self, via: Via) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -342,24 +326,28 @@ class Layout:
         Returns:
             (segment name, segment name) pairs, empty when clean.
         """
+        table = SegmentTable.from_segments(self.segments)
+        names = [s.name for s in self.segments]
+        n = len(names)
+        if net is None:
+            rows = np.arange(n)
+        elif net in table.nets:
+            rows = np.flatnonzero(table.net == table.nets.index(net))
+        else:
+            return []
+        shrunk = table.hi - 1e-12
+        b = np.arange(n)[None, :]
         out: list[tuple[str, str]] = []
-        segs = self.segments
-        for i in range(len(segs)):
-            a = segs[i]
-            if net is not None and a.net != net:
-                continue
-            for j in range(len(segs)):
-                if j <= i and (net is None or segs[j].net == net):
-                    continue
-                b = segs[j]
-                if a.net == b.net:
-                    continue
-                if all(
-                    a.origin[axis] < b.end[axis] - 1e-12
-                    and b.origin[axis] < a.end[axis] - 1e-12
-                    for axis in range(3)
-                ):
-                    out.append((a.name, b.name))
+        for r0 in range(0, rows.size, BLOCK):
+            a = rows[r0:r0 + BLOCK, None]
+            hit = table.net[b] != table.net[a]
+            if net is None:
+                hit &= b > a  # each unordered pair once
+            hit &= np.all(
+                (table.lo[a] < shrunk[b]) & (table.lo[b] < shrunk[a]), axis=2
+            )
+            for x, y in zip(*np.nonzero(hit)):
+                out.append((names[a[x, 0]], names[y]))
         return out
 
     def validate(self) -> list[str]:

@@ -23,10 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.netlist import GROUND, Circuit
-from repro.extraction.capacitance import (
-    CapacitanceModel,
-    coupling_capacitance_per_length,
-)
+from repro.extraction.capacitance import CapacitanceModel
 from repro.extraction.partial_matrix import (
     PartialInductanceResult,
     extract_partial_inductance,
@@ -35,7 +32,7 @@ from repro.extraction.resistance import segment_resistance, via_resistance
 from repro.geometry.clocktree import TapPoint
 from repro.geometry.layout import Layout, quantize_point
 from repro.geometry.segment import Direction, Segment
-from repro.obs.trace import span
+from repro.obs.trace import Span, span
 from repro.sparsify.base import (
     DenseInductance,
     InductanceBlocks,
@@ -234,11 +231,13 @@ def build_peec_model(layout: Layout, options: PEECOptions | None = None) -> PEEC
         layout=layout.name,
         segments=len(layout.segments),
         inductance=options.include_inductance,
-    ):
-        return _build_peec_model(layout, options)
+    ) as sp:
+        return _build_peec_model(layout, options, sp)
 
 
-def _build_peec_model(layout: Layout, options: PEECOptions) -> PEECModel:
+def _build_peec_model(
+    layout: Layout, options: PEECOptions, sp: Span
+) -> PEECModel:
     circuit = Circuit(name=f"peec:{layout.name}")
 
     segments = _split_segments(
@@ -313,9 +312,13 @@ def _build_peec_model(layout: Layout, options: PEECOptions) -> PEECModel:
         circuit.add_capacitor(f"Cg_{node}", node, GROUND, cap)
 
     # -- coupling capacitance ----------------------------------------------
-    if options.include_coupling_caps:
+    coupling = (
+        options.capacitance.coupling_pairs(inplane)
+        if options.include_coupling_caps else []
+    )
+    sp.attrs["coupling_pairs"] = len(coupling)
+    if coupling:
         pair_caps: dict[tuple[str, str], float] = {}
-        coupling = _coupling_for_segments(inplane, options.capacitance)
         for i, j, c in coupling:
             ends_i = branch_nodes[i]
             ends_j = branch_nodes[j]
@@ -384,33 +387,3 @@ def _stamp_rl(
             circuit.add_inductor_set(f"Lp{b}", branches, matrix)
         else:
             circuit.add_k_set(f"Kp{b}", branches, matrix)
-
-
-def _coupling_for_segments(
-    segments: list[Segment], model: CapacitanceModel
-) -> list[tuple[int, int, float]]:
-    """Coupling capacitances over an explicit segment list."""
-    out: list[tuple[int, int, float]] = []
-    for i in range(len(segments)):
-        si = segments[i]
-        if si.direction == Direction.Z:
-            continue
-        for j in range(i + 1, len(segments)):
-            sj = segments[j]
-            if sj.direction == Direction.Z or not si.is_parallel(sj):
-                continue
-            if si.layer != sj.layer:
-                continue
-            overlap = si.axial_overlap(sj)
-            if overlap <= 0:
-                continue
-            gap = si.gap(sj)
-            if gap <= 0 or gap > model.coupling_max_gap:
-                continue
-            height = si.origin[2]
-            c = coupling_capacitance_per_length(
-                si.thickness, gap, height, min(si.width, sj.width), model.eps_r
-            ) * overlap
-            if c > 0:
-                out.append((i, j, c))
-    return out

@@ -22,13 +22,14 @@ which nets are supply -- pass ``supply_nets``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.extraction.inductance import mutual_inductance_filaments
 from repro.extraction.partial_matrix import PartialInductanceResult
+from repro.geometry.pairs import BLOCK, SegmentTable
+from repro.obs.trace import current_span
 from repro.sparsify.base import InductanceBlocks, Sparsifier
 from repro.sparsify.stability import is_positive_definite
 
@@ -63,122 +64,118 @@ class HaloSparsifier(Sparsifier):
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _supply_indices(self, result: PartialInductanceResult) -> list[int]:
-        return [
+    def _supply_indices(self, result: PartialInductanceResult) -> np.ndarray:
+        return np.array([
             k for k, s in enumerate(result.segments)
             if s.net in self.supply_nets
-        ]
+        ], dtype=np.intp)
 
-    def _halo_radius(
-        self,
-        result: PartialInductanceResult,
-        i: int,
-        supply_indices: list[int],
-    ) -> float:
-        """Distance from segment i to its nearest parallel supply return."""
-        si = result.segments[i]
-        best = math.inf
-        for k in supply_indices:
-            if k == i:
-                continue
-            sk = result.segments[k]
-            if sk.direction.axis != si.direction.axis:
-                continue
-            if self.same_layer_only and sk.layer != si.layer:
-                continue
-            overlap = si.axial_overlap(sk)
-            if overlap < self.min_overlap_fraction * si.length:
-                continue
-            best = min(best, si.transverse_distance(sk))
-        return best
+    def _halo_radii(
+        self, table: SegmentTable, supply: np.ndarray
+    ) -> np.ndarray:
+        """Distance from each segment to its nearest parallel supply return."""
+        n = len(table)
+        radii = np.full(n, np.inf)
+        k = supply[None, :]
+        for r0 in range(0, n if supply.size else 0, BLOCK):
+            i = np.arange(r0, min(r0 + BLOCK, n))[:, None]
+            returns = (table.axis[k] == table.axis[i]) & (k != i)
+            if self.same_layer_only:
+                returns &= table.layer[k] == table.layer[i]
+            returns &= (
+                table.overlap(i, k)
+                >= self.min_overlap_fraction * table.length[i]
+            )
+            dist = np.where(returns, table.transverse_distance(i, k), np.inf)
+            radii[i[:, 0]] = dist.min(axis=1)
+        return radii
 
     def _blocked(
         self,
-        result: PartialInductanceResult,
-        i: int,
-        j: int,
-        supply_indices: list[int],
-    ) -> bool:
-        """True when a supply segment screens pair (i, j)."""
-        si = result.segments[i]
-        sj = result.segments[j]
-        axis = si.direction.axis
-        t_axis = 1 - axis
-        ti = si.center[t_axis]
-        tj = sj.center[t_axis]
-        lo_t, hi_t = sorted((ti, tj))
-        if hi_t - lo_t <= 0:
-            return False  # vertically stacked pair; no coplanar screen
-        span_lo = max(si.axis_start, sj.axis_start)
-        span_hi = min(si.axis_end, sj.axis_end)
-        pair_overlap = max(span_hi - span_lo, 0.0)
-        if pair_overlap <= 0:
-            span_lo = min(si.axis_start, sj.axis_start)
-            span_hi = max(si.axis_end, sj.axis_end)
-            pair_overlap = span_hi - span_lo
-        for k in supply_indices:
-            if k in (i, j):
-                continue
-            sk = result.segments[k]
-            if sk.direction.axis != axis:
-                continue
-            if self.same_layer_only and (
-                sk.layer != si.layer and sk.layer != sj.layer
-            ):
-                continue
-            tk = sk.center[t_axis]
-            if not lo_t < tk < hi_t:
-                continue
-            ov = min(sk.axis_end, span_hi) - max(sk.axis_start, span_lo)
-            if ov >= self.min_overlap_fraction * pair_overlap:
-                return True
-        return False
+        table: SegmentTable,
+        supply: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+    ) -> np.ndarray:
+        """Mask of the pairs (i, j) that a supply segment screens.
+
+        A screen lies strictly between the pair in the in-plane
+        transverse direction, so a pair member never screens itself and a
+        vertically stacked pair has no screen.
+        """
+        out = np.zeros(i.size, dtype=bool)
+        k = supply[None, :]
+        for p0 in range(0, i.size if supply.size else 0, BLOCK):
+            a = i[p0:p0 + BLOCK, None]
+            b = j[p0:p0 + BLOCK, None]
+            t = 1 - table.axis[a]
+            ti, tj = table.center[a, t], table.center[b, t]
+            tk = table.center[k, t]
+            starts = table.start[a], table.start[b]
+            stops = table.stop[a], table.stop[b]
+            lo = np.maximum(*starts)
+            hi = np.minimum(*stops)
+            # Axially disjoint pairs are screened over their joint extent.
+            disjoint = hi - lo <= 0
+            lo = np.where(disjoint, np.minimum(*starts), lo)
+            hi = np.where(disjoint, np.maximum(*stops), hi)
+            ov = np.minimum(table.stop[k], hi) - np.maximum(table.start[k], lo)
+            screens = (
+                (table.axis[k] == table.axis[a])
+                & (np.minimum(ti, tj) < tk) & (tk < np.maximum(ti, tj))
+                & (ov >= self.min_overlap_fraction * (hi - lo))
+            )
+            if self.same_layer_only:
+                screens &= (
+                    (table.layer[k] == table.layer[a])
+                    | (table.layer[k] == table.layer[b])
+                )
+            out[p0:p0 + BLOCK] = screens.any(axis=1)
+        return out
 
     # -- the strategy ------------------------------------------------------------
 
     def apply(self, result: PartialInductanceResult) -> InductanceBlocks:
-        segs = result.segments
+        table = SegmentTable.from_segments(result.segments)
         n = result.size
-        supply_indices = self._supply_indices(result)
+        supply = self._supply_indices(result)
         matrix = result.matrix.copy()
-
-        radii = [
-            self._halo_radius(result, i, supply_indices) for i in range(n)
-        ]
+        radii = self._halo_radii(table, supply)
 
         if self.shift:
             # Self terms: pair every conductor's current with a return at
             # its halo boundary.
-            for i in range(n):
-                if math.isfinite(radii[i]):
-                    matrix[i, i] -= mutual_inductance_filaments(
-                        segs[i].axis_start, segs[i].axis_end,
-                        segs[i].axis_start, segs[i].axis_end,
-                        radii[i],
-                    )
+            f = np.flatnonzero(np.isfinite(radii))
+            matrix[f, f] -= mutual_inductance_filaments(
+                table.start[f], table.stop[f], table.start[f], table.stop[f],
+                radii[f],
+            )
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if matrix[i, j] == 0.0:
-                    continue
-                if not segs[i].is_parallel(segs[j]):
-                    continue
-                if self._blocked(result, i, j, supply_indices):
-                    matrix[i, j] = matrix[j, i] = 0.0
-                    continue
-                if self.shift:
-                    # The tighter of the two halos carries the assumed
-                    # return; couplings to the bounding return itself
-                    # shift to ~zero.
-                    radius = min(radii[i], radii[j])
-                    if math.isfinite(radius):
-                        shift = mutual_inductance_filaments(
-                            segs[i].axis_start, segs[i].axis_end,
-                            segs[j].axis_start, segs[j].axis_end,
-                            radius,
-                        )
-                        value = matrix[i, j] - shift
-                        matrix[i, j] = matrix[j, i] = value
+        blocked = 0
+        for i, j in table.pairs():
+            coupled = result.matrix[i, j] != 0.0
+            i, j = i[coupled], j[coupled]
+            screened = self._blocked(table, supply, i, j)
+            blocked += int(screened.sum())
+            matrix[i[screened], j[screened]] = 0.0
+            matrix[j[screened], i[screened]] = 0.0
+            if not self.shift:
+                continue
+            # The tighter of the two halos carries the assumed return;
+            # couplings to the bounding return itself shift to ~zero.
+            i, j = i[~screened], j[~screened]
+            radius = np.minimum(radii[i], radii[j])
+            f = np.isfinite(radius)
+            i, j = i[f], j[f]
+            matrix[i, j] = matrix[j, i] = matrix[i, j] - (
+                mutual_inductance_filaments(
+                    table.start[i], table.stop[i],
+                    table.start[j], table.stop[j], radius[f],
+                )
+            )
+        cur = current_span()
+        if cur is not None:
+            cur.attrs["blocked"] = blocked
 
         if self.shift and not is_positive_definite(matrix):
             raise RuntimeError(

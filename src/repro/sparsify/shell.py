@@ -27,17 +27,23 @@ import numpy as np
 
 from repro.extraction.inductance import mutual_inductance_filaments
 from repro.extraction.partial_matrix import PartialInductanceResult
+from repro.geometry.pairs import SegmentTable
 from repro.sparsify.base import InductanceBlocks, Sparsifier
 from repro.sparsify.stability import is_positive_definite
+
+#: Relative spacing below which two pair distances count as one tie
+#: group in :meth:`ShellSparsifier.auto_radius`.
+TIE = 1e-9
 
 
 @dataclass
 class ShellSparsifier(Sparsifier):
-    """Shift-truncate with a spherical return shell at ``radius``.
+    """Shift-truncate with a coaxial return shell of radius ``radius``.
 
     Attributes:
-        radius: Shell radius [m]; couplings between segments farther apart
-            than this are dropped.
+        radius: Shell radius [m]; couplings between parallel segments
+            whose transverse (axis-normal) center distance reaches it are
+            dropped.
         grow_factor: If the shifted matrix is (numerically) not positive
             definite, the radius is grown by this factor and the shift
             recomputed, up to ``max_grow`` times.
@@ -56,62 +62,67 @@ class ShellSparsifier(Sparsifier):
 
     @staticmethod
     def auto_radius(result: PartialInductanceResult, keep_fraction: float = 0.2) -> float:
-        """Radius keeping roughly ``keep_fraction`` of all pairwise couplings.
+        """Smallest radius keeping at least ``keep_fraction`` of the pairs.
 
         A pragmatic replacement for the moment-based radius of SPIE: sort
-        all parallel-pair distances and pick the quantile.
+        all parallel-pair distances into tie groups (relative spacing below
+        ``TIE``) and place the radius halfway between the last kept group
+        and the next, or just past the farthest pair.  The radius never
+        sits on a pair distance, so equidistant pairs are kept or dropped
+        together and ``keep_fraction=1.0`` keeps every pair.
         """
         if not 0.0 < keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        segs = result.segments
-        dists = []
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if segs[i].is_parallel(segs[j]):
-                    dists.append(segs[i].transverse_distance(segs[j]))
-        if not dists:
+        table = SegmentTable.from_segments(result.segments)
+        dists = np.sort(np.concatenate(
+            [np.empty(0)]
+            + [table.transverse_distance(i, j) for i, j in table.pairs()]
+        ))
+        if not dists.size:
             return 1e-6
-        return float(np.quantile(np.asarray(dists), keep_fraction))
+        # Index of the last pair of each tie group, and the pairs kept by
+        # a radius just past it.
+        last = np.append(
+            np.flatnonzero(np.diff(dists) > TIE * dists[1:]), dists.size - 1
+        )
+        k = last[np.argmax((last + 1) / dists.size >= keep_fraction)]
+        if k + 1 < dists.size:
+            return float((dists[k] + dists[k + 1]) / 2)
+        return float(dists[k] * (1.0 + TIE))
 
-    def _shifted_matrix(self, result: PartialInductanceResult, radius: float) -> np.ndarray:
-        segs = result.segments
-        n = result.size
-        matrix = result.matrix.copy()
-
+    def _shifted_matrix(
+        self, result: PartialInductanceResult, table: SegmentTable,
+        radius: float,
+    ) -> np.ndarray:
+        matrix = result.matrix
+        out = np.zeros_like(matrix)
         # Shell mutual for segment i: coupling of its own span to a parallel
         # filament at the shell radius (its distributed return).
-        starts = np.array([s.axis_start for s in segs])
-        ends = np.array([s.axis_end for s in segs])
-        shell_self = mutual_inductance_filaments(starts, ends, starts, ends,
-                                                 np.full(n, radius))
-        shell_self = np.asarray(shell_self)
-
-        out = np.zeros_like(matrix)
+        shell_self = mutual_inductance_filaments(
+            table.start, table.stop, table.start, table.stop,
+            np.full(len(table), radius),
+        )
         np.fill_diagonal(out, np.diagonal(matrix) - shell_self)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not segs[i].is_parallel(segs[j]):
-                    continue
-                d = segs[i].transverse_distance(segs[j])
-                if d >= radius:
-                    continue
-                # Pairwise shift: mutual between segment i's span and segment
-                # j's span moved out to the shell radius.
-                shift = mutual_inductance_filaments(
-                    segs[i].axis_start, segs[i].axis_end,
-                    segs[j].axis_start, segs[j].axis_end,
-                    radius,
-                )
-                out[i, j] = out[j, i] = matrix[i, j] - shift
+        for i, j in table.pairs():
+            near = table.transverse_distance(i, j) < radius
+            i, j = i[near], j[near]
+            # Pairwise shift: mutual between segment i's span and segment
+            # j's span moved out to the shell radius.
+            shift = mutual_inductance_filaments(
+                table.start[i], table.stop[i], table.start[j], table.stop[j],
+                radius,
+            )
+            out[i, j] = out[j, i] = matrix[i, j] - shift
         return out
 
     def apply(self, result: PartialInductanceResult) -> InductanceBlocks:
+        table = SegmentTable.from_segments(result.segments)
         radius = self.radius
-        shifted = self._shifted_matrix(result, radius)
+        shifted = self._shifted_matrix(result, table, radius)
         attempts = 0
         while not is_positive_definite(shifted) and attempts < self.max_grow:
             radius *= self.grow_factor
-            shifted = self._shifted_matrix(result, radius)
+            shifted = self._shifted_matrix(result, table, radius)
             attempts += 1
         if not is_positive_definite(shifted):
             raise RuntimeError(

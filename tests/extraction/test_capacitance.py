@@ -73,14 +73,15 @@ class TestCapacitanceModel:
     def test_coupling_pairs_found_for_adjacent_lines(self):
         layout, _ = build_bus(num_signals=2, pitch=3e-6, wire_width=1e-6,
                               edge_grounds=False)
-        pairs = CapacitanceModel().coupling_pairs(layout)
+        pairs = CapacitanceModel().coupling_pairs(layout.segments)
         assert len(pairs) == 1
         i, j, c = pairs[0]
         assert c > 0
 
     def test_coupling_cutoff(self):
         layout, _ = build_bus(num_signals=2, pitch=50e-6, edge_grounds=False)
-        pairs = CapacitanceModel(coupling_max_gap=5e-6).coupling_pairs(layout)
+        model = CapacitanceModel(coupling_max_gap=5e-6)
+        pairs = model.coupling_pairs(layout.segments)
         assert pairs == []
 
     def test_no_coupling_across_layers(self):
@@ -89,7 +90,7 @@ class TestCapacitanceModel:
         layout.add_net("b", NetKind.SIGNAL)
         layout.add_wire("a", "M5", Direction.X, (0.0, 0.0), 100e-6, 1e-6)
         layout.add_wire("b", "M6", Direction.X, (0.0, 0.0), 100e-6, 1e-6)
-        assert CapacitanceModel().coupling_pairs(layout) == []
+        assert CapacitanceModel().coupling_pairs(layout.segments) == []
 
     def test_segment_at_substrate_rejected(self):
         layout = Layout(default_layer_stack(6))

@@ -130,14 +130,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             layout.bounding_box()
 
-    def test_parallel_pairs_excludes_orthogonal(self, layout):
-        layout.add_net("sig", NetKind.SIGNAL)
-        layout.add_wire("sig", "M6", Direction.X, (0.0, 0.0), 10e-6, 1e-6)
-        layout.add_wire("sig", "M6", Direction.X, (0.0, 5e-6), 10e-6, 1e-6)
-        layout.add_wire("sig", "M5", Direction.Y, (0.0, 0.0), 10e-6, 1e-6)
-        pairs = list(layout.parallel_pairs())
-        assert pairs == [(0, 1)]
-
     def test_net_is_connected(self, layout):
         layout.add_net("sig", NetKind.SIGNAL)
         layout.add_wire("sig", "M6", Direction.X, (0.0, 0.0), 10e-6, 1e-6,

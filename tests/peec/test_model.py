@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.extraction.capacitance import CapacitanceModel
 from repro.geometry import build_signal_over_grid
+from repro.obs.trace import tracing
 from repro.peec.model import PEECOptions, build_peec_model
 from repro.sparsify import BlockDiagonalSparsifier, KMatrixSparsifier
 
@@ -36,6 +38,19 @@ class TestRLCStructure:
         n_y = len([s for s in layout.segments if s.direction.value == "y"])
         expected = n_x * (n_x - 1) // 2 + n_y * (n_y - 1) // 2
         assert model.circuit.num_mutual_terms == expected
+
+    def test_assembly_span_counts_coupling_pairs(self):
+        layout, _ = build_signal_over_grid(
+            length=200e-6, returns_per_side=2, pitch=4e-6
+        )
+        with tracing() as trace:
+            build_peec_model(layout)
+        inplane = [s for s in layout.segments if s.direction.value != "z"]
+        found = trace.find("peec.assembly").attrs["coupling_pairs"]
+        assert found == len(CapacitanceModel().coupling_pairs(inplane)) > 0
+        with tracing() as trace:
+            build_peec_model(layout, PEECOptions(include_coupling_caps=False))
+        assert trace.find("peec.assembly").attrs["coupling_pairs"] == 0
 
     def test_ground_caps_present(self, structure):
         layout, _ = structure

@@ -16,7 +16,8 @@ from repro.sparsify import (
     min_eigenvalue,
     sparsity_ratio,
 )
-from repro.sparsify.base import InductanceBlocks
+from repro.obs.trace import tracing
+from repro.sparsify.base import InductanceBlocks, traced_apply
 
 
 def lines(num=8, pitch=4e-6, length=400e-6, net="s"):
@@ -169,9 +170,26 @@ class TestShell:
         assert np.all(np.diagonal(dense) < np.diagonal(extraction.matrix))
 
     def test_auto_radius_quantile(self, extraction):
-        r_small = ShellSparsifier.auto_radius(extraction, keep_fraction=0.1)
-        r_large = ShellSparsifier.auto_radius(extraction, keep_fraction=0.9)
-        assert r_small < r_large
+        # 8 lines at 4 um pitch: 28 parallel pairs, 7 of them nearest
+        # neighbours at one (rounding-dusted) distance.  The radius must
+        # not land on a tie: equidistant pairs are kept or dropped
+        # together, and the kept fraction never falls below the request.
+        total = extraction.num_mutuals
+        assert total == 28
+        kept = {}
+        for fraction in (0.1, 0.2, 0.25, 0.3, 0.5, 0.9, 1.0):
+            radius = ShellSparsifier.auto_radius(extraction, fraction)
+            blocks = ShellSparsifier(radius=radius).apply(extraction)
+            kept[fraction] = blocks.num_mutuals
+            assert kept[fraction] / total >= fraction
+        assert kept[0.1] == kept[0.2] == kept[0.25] == 7
+        dense = ShellSparsifier(
+            radius=ShellSparsifier.auto_radius(extraction, 0.1)
+        ).apply(extraction).to_dense()
+        assert all(dense[k, k + 1] != 0.0 for k in range(7))
+        assert kept[0.3] == 13
+        assert kept[1.0] == 28
+        assert sorted(kept.values()) == list(kept.values())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,6 +225,17 @@ class TestHalo:
         assert dense[0, 0] < extraction.matrix[0, 0]
         # ...and the result stays positive definite.
         assert is_positive_definite(dense)
+
+    def test_span_counts_blocked_pairs(self):
+        # The screened a-b pair is a dropped mutual that mutuals_kept
+        # cannot tell from an orthogonal zero; the span names it.
+        extraction = self.make_extraction_with_shield()
+        with tracing() as trace:
+            traced_apply(HaloSparsifier(supply_nets=("GND",)), extraction)
+        assert trace.find("sparsify.halo").attrs["blocked"] == 1
+        with tracing() as trace:
+            traced_apply(HaloSparsifier(supply_nets=("VDD",)), extraction)
+        assert trace.find("sparsify.halo").attrs["blocked"] == 0
 
     def test_drop_only_variant_can_lose_passivity(self):
         # The ablation's negative control: geometric dropping without the

@@ -47,11 +47,14 @@ class TestCLI:
         assert payload["open_spans"] == 0
         names = set()
         transients = []
+        assemblies = []
 
         def walk(node):
             names.add(node["name"])
             if node["name"] == "circuit.transient":
                 transients.append(node["attrs"])
+            if node["name"] == "peec.assembly":
+                assemblies.append(node["attrs"])
             for child in node.get("children", []):
                 walk(child)
 
@@ -68,6 +71,10 @@ class TestCLI:
             assert attrs["rung"] in ("lu", "equilibrated")
             assert attrs["blocks"] == 1
             assert attrs["replayed"] in (0, 1)
+        # Every PEEC build of the one layout says how many coupling
+        # capacitor pairs its scan found, and they agree.
+        assert assemblies
+        assert len({attrs["coupling_pairs"] for attrs in assemblies}) == 1
         # The headline metrics are always present, even when zero.
         counters = payload["metrics"]["counters"]
         assert "extraction.cache.misses" in counters
