@@ -14,6 +14,12 @@ This module implements the classic SPICE recipe:
 Only linear circuits are supported (each accepted step size change costs
 one refactorization; Newton-per-step nonlinear circuits would dominate
 that cost anyway, so they stay on the fixed-step engine).
+
+A step whose solve fails on every escalation rung is treated like an LTE
+rejection: the step is halved, up to
+:data:`~repro.resilience.policy.MAX_STEP_HALVINGS` times in a row, and
+each halving is logged in the result's
+:class:`~repro.resilience.report.RunReport`.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from repro.circuit.netlist import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_span, span
 from repro.perf.cache import FACTOR_CACHE_SIZE, LRUCache, quantize_alpha
-from repro.resilience import faults
-from repro.resilience.faults import InjectedFault
-from repro.resilience.policy import ResiliencePolicy, default_policy
+from repro.resilience.policy import (
+    MAX_STEP_HALVINGS, ResiliencePolicy, default_policy,
+)
 from repro.resilience.report import RunReport, activate, current_run_report
 
 
@@ -49,7 +55,8 @@ class AdaptiveResult:
         columns: Recorded column names.
         num_rejected: Steps rejected by the LTE controller.
         num_factorizations: Matrix factorizations performed.
-        report: Resilience log (solve faults absorbed by halving the step).
+        report: Resilience log (failed solves absorbed by halving the
+            step).
     """
 
     times: np.ndarray
@@ -109,9 +116,8 @@ def adaptive_transient(
         abstol: Absolute LTE floor (volts/amps).
         record: Node/branch names to record; ``None`` records all.
         x0: Initial state (``None`` = DC operating point, ``"zero"`` = 0).
-        policy: Resilience policy governing solver escalation and how
-            many times a faulted step may be halved; default from
-            ``REPRO_RESILIENCE``.
+        policy: Resilience policy governing solver escalation; default
+            from ``REPRO_RESILIENCE``.
 
     Returns:
         The accepted trajectory.
@@ -154,7 +160,9 @@ def _adaptive_solve(
     assembler = SweepAssembler(g_matrix, c_matrix)
 
     policy = policy or default_policy()
-    report = current_run_report() or RunReport()
+    report = current_run_report()
+    if report is None:
+        report = RunReport()
 
     if x0 is None:
         with activate(report):
@@ -175,14 +183,13 @@ def _adaptive_solve(
     num_factor = 0
 
     # Bounded + quantized: the LTE controller walks through a continuum of
-    # step sizes, and solve-fault step-halving re-approaches old alphas
+    # step sizes, and failed-solve step-halving re-approaches old alphas
     # with last-ulp differences; a raw float-keyed dict both grows without
     # bound and misses those near-equal revisits.
     factor_cache: LRUCache = LRUCache(FACTOR_CACHE_SIZE)
 
     def solve_step(x_now, t_now, h):
         nonlocal num_factor
-        faults.maybe_fail("adaptive.step")
         alpha = 2.0 / h
         key = quantize_alpha(alpha)
         factor = factor_cache.get(key)
@@ -203,26 +210,17 @@ def _adaptive_solve(
     t = 0.0
     h = dt_initial
     scale_limit = 2.0
-    retries = 0
     halvings = 0
     while t < t_stop - 1e-21:
         h = min(h, t_stop - t, dt_max)
         try:
             with activate(report):
                 x_new = solve_step(x, t, h)
-        except (SingularCircuitError, InjectedFault) as exc:
-            # Solve faults are handled like LTE rejections: retry the
-            # identical step, then halve it -- both budgets bounded.
-            if retries < policy.max_retries:
-                retries += 1
-                report.record_retry(
-                    "adaptive",
-                    f"t = {t:.6g}: retry {retries}/{policy.max_retries}: {exc}",
-                )
-                continue
-            if halvings < policy.max_step_halvings and h > dt_min * 1.0001:
+        except SingularCircuitError as exc:
+            # A failed solve is handled like an LTE rejection: halve the
+            # step, a bounded number of times in a row.
+            if halvings < MAX_STEP_HALVINGS and h > dt_min * 1.0001:
                 halvings += 1
-                retries = 0
                 num_rejected += 1
                 h = max(h * 0.5, dt_min)
                 report.record_step_halving(
@@ -231,7 +229,6 @@ def _adaptive_solve(
                 )
                 continue
             raise
-        retries = 0
         halvings = 0
 
         # LTE estimate needs two history points for the third difference;

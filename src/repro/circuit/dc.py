@@ -26,6 +26,9 @@ from repro.obs.trace import span
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import current_run_report
 
+#: Source fractions the ``full`` policy's source-stepping ramp solves in turn.
+SOURCE_STEPS = (0.25, 0.5, 0.75, 1.0)
+
 
 class ConvergenceError(RuntimeError):
     """Newton iteration failed to converge.
@@ -197,14 +200,14 @@ def _dc_solve(
         report = current_run_report()
         g_dc = add_gmin(g_matrix, system.n, stages[-1])
         x = guess
-        for fraction in policy.source_steps:
+        for fraction in SOURCE_STEPS:
             try:
                 x = _newton(
                     system, g_dc, fraction * b, x, tol, max_iter,
                     damping_limit=1.0, policy=policy,
                 )
                 stage_ok = True
-                if fraction == policy.source_steps[-1]:
+                if fraction == SOURCE_STEPS[-1]:
                     last_error = None
             except (ConvergenceError, SingularCircuitError) as exc:
                 stage_ok = False

@@ -13,8 +13,9 @@ Which rungs are available is governed by a
 failure reason, condition estimate, accepted residual -- is recorded in
 a :class:`~repro.resilience.report.SolveReport`.  The rescue rungs only
 accept a solution whose residual against the *original* matrix passes
-the policy tolerance, so a genuinely singular, inconsistent system still
-raises :class:`SingularCircuitError` no matter how far the chain runs.
+:data:`RESIDUAL_TOL` / :data:`LSTSQ_TOL`, so a genuinely singular,
+inconsistent system still raises :class:`SingularCircuitError` no
+matter how far the chain runs.
 
 Three further pieces serve the sweep engines:
 
@@ -62,6 +63,30 @@ from repro.resilience.report import (
 #: Above this many unknowns the lstsq rescue rung refuses to densify a
 #: sparse matrix: the O(n^2) Gram product would OOM at grid scale.
 LSTSQ_DENSE_LIMIT = 4096
+
+#: Relative diagonal shifts the gmin rung tries, times the largest diagonal.
+GMIN_SHIFTS = (1e-10, 1e-7)
+
+#: Refinement sweeps of the gmin rung against the original matrix.
+REFINE_ITERS = 3
+
+#: Largest ``max|Ax - b| / max|b|`` at which a gmin-rung solution passes.
+RESIDUAL_TOL = 1e-8
+
+#: Largest ``max|Ax - b| / max|b|`` at which a least-squares solution passes.
+LSTSQ_TOL = 1e-6
+
+#: GMRES stopping target of the krylov rung (not its acceptance test).
+KRYLOV_TOL = 1e-9
+
+#: GMRES restart length: Krylov subspace dimension per cycle.
+KRYLOV_RESTART = 150
+
+#: GMRES restart cycles before the krylov rung declares stagnation.
+KRYLOV_MAXITER = 12
+
+#: Largest normwise backward error at which a krylov solution passes.
+KRYLOV_RESIDUAL_TOL = 1e-8
 
 
 class SingularCircuitError(RuntimeError):
@@ -319,7 +344,8 @@ class ResilientFactorization:
             rung sub-sites are ``"<site>.krylov"``, ``"<site>.lu"``,
             ``"<site>.equilibrated"``, ``"<site>.gmin"``,
             ``"<site>.lstsq"``.
-        policy: Escalation policy; default from ``REPRO_RESILIENCE``.
+        policy: Escalation policy (which rungs); default from
+            ``REPRO_RESILIENCE``.
         report: Optional existing :class:`SolveReport` to append to.
     """
 
@@ -410,7 +436,6 @@ class ResilientFactorization:
             raise SingularCircuitError(
                 f"krylov rung at {site_r} requires an OperatorSystem input"
             )
-        policy = self.policy
         n = system.shape[0]
         with span(
             "solver.krylov.setup", size=n, precond_nnz=int(system.precond.nnz)
@@ -440,13 +465,13 @@ class ResilientFactorization:
         m_op = spla.LinearOperator(
             system.shape, matvec=m_factor.solve, dtype=system.dtype
         )
-        restart = min(policy.krylov_restart, n)
+        restart = min(KRYLOV_RESTART, n)
         # Iteration budget is staged: with the near-field preconditioner
         # almost every solve converges within the first couple of
         # restart cycles, and the full budget is only spent when the
         # cheap attempt's backward error does not pass.
-        first = min(2, policy.krylov_maxiter)
-        budgets = [c for c in (first, policy.krylov_maxiter - first) if c > 0]
+        first = min(2, KRYLOV_MAXITER)
+        budgets = [c for c in (first, KRYLOV_MAXITER - first) if c > 0]
 
         def backward_error(x: np.ndarray, b_arr: np.ndarray) -> float:
             r = np.abs(system.matvec(x) - b_arr).max(initial=0.0)
@@ -470,25 +495,25 @@ class ResilientFactorization:
                 info = 0
                 for cycles in budgets:
                     x, info = spla.gmres(
-                        a_op, b_arr, x0=x, rtol=policy.krylov_tol,
+                        a_op, b_arr, x0=x, rtol=KRYLOV_TOL,
                         atol=0.0, restart=restart, maxiter=cycles, M=m_op,
                         callback=_count, callback_type="pr_norm",
                     )
                     x = _finish(site_r, x)
                     error = backward_error(x, b_arr)
-                    if error <= policy.krylov_residual_tol:
+                    if error <= KRYLOV_RESIDUAL_TOL:
                         break
                 gmres_span.attrs.update(
                     iterations=iters[0], backward_error=error
                 )
                 obs_metrics.counter("solver.krylov_iterations").inc(iters[0])
-                if error <= policy.krylov_residual_tol:
+                if error <= KRYLOV_RESIDUAL_TOL:
                     return x, error
                 obs_metrics.counter("solver.krylov_stagnations").inc()
                 raise SingularCircuitError(
                     f"krylov (gmres) solve at {site_r} did not converge: "
                     f"info={info}, {iters[0]} iterations, backward error "
-                    f"{error:.3e} exceeds {policy.krylov_residual_tol:.1e}"
+                    f"{error:.3e} exceeds {KRYLOV_RESIDUAL_TOL:.1e}"
                 )
 
         return run
@@ -536,14 +561,13 @@ class ResilientFactorization:
 
     def _prepare_gmin(self, site_r: str, matrix):
         """Diagonal-shifted factorization with iterative refinement
-        against the original matrix; accepted only below the policy's
-        residual tolerance, so the shift cannot smuggle in a wrong
+        against the original matrix; accepted only below
+        :data:`RESIDUAL_TOL`, so the shift cannot smuggle in a wrong
         answer."""
-        policy = self.policy
         diag = matrix.diagonal()
         scale = float(np.abs(diag).max(initial=0.0)) or _max_abs(matrix) or 1.0
         factor = None
-        for shift in policy.gmin_shifts:
+        for shift in GMIN_SHIFTS:
             shifted = matrix + _identity_like(matrix, shift * scale)
             try:
                 factor = Factorization(shifted)
@@ -552,7 +576,7 @@ class ResilientFactorization:
                 continue
         if factor is None:
             raise SingularCircuitError(
-                f"gmin rung: no diagonal shift in {policy.gmin_shifts} "
+                f"gmin rung: no diagonal shift in {GMIN_SHIFTS} "
                 "produced a factorable matrix"
             )
         self._cond = factor.condition_estimate
@@ -560,14 +584,14 @@ class ResilientFactorization:
 
         def run(b: np.ndarray):
             x = factor.solve(b)
-            for _ in range(policy.refine_iters):
+            for _ in range(REFINE_ITERS):
                 x = x + factor.solve(b - original @ x)
             x = _finish(site_r, x)
             residual = _relative_residual(original, x, b)
-            if residual > policy.residual_tol:
+            if residual > RESIDUAL_TOL:
                 raise SingularCircuitError(
                     f"gmin rung residual {residual:.3e} exceeds tolerance "
-                    f"{policy.residual_tol:.1e}; the system is "
+                    f"{RESIDUAL_TOL:.1e}; the system is "
                     "inconsistent, not merely ill-conditioned"
                 )
             return x, residual
@@ -598,7 +622,6 @@ class ResilientFactorization:
             a = np.asarray(matrix.todense())  # qa: ignore[QA208]
         else:
             a = np.asarray(matrix)
-        policy = self.policy
         gram = a.conj().T @ a
         lam = 1e-12 * max(float(np.abs(np.diagonal(gram)).max(initial=0.0)), 1e-300)
         factor = Factorization(gram + lam * np.eye(a.shape[0], dtype=gram.dtype))
@@ -608,10 +631,10 @@ class ResilientFactorization:
             x = factor.solve(a.conj().T @ np.asarray(b))
             x = _finish(site_r, x)
             residual = _relative_residual(a, x, b)
-            if residual > policy.lstsq_tol:
+            if residual > LSTSQ_TOL:
                 raise SingularCircuitError(
                     f"regularized-lstsq residual {residual:.3e} exceeds "
-                    f"tolerance {policy.lstsq_tol:.1e}; refusing the "
+                    f"tolerance {LSTSQ_TOL:.1e}; refusing the "
                     "least-squares pseudo-solution of an inconsistent system"
                 )
             return x, residual

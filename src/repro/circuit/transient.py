@@ -10,15 +10,16 @@ circuits step in **blocks**, one per checkpoint interval (the whole run
 without a checkpoint): the companion matrix ``alpha C + G`` is factored
 once per step size through the escalation chain, every source is
 sampled once over the time grid, and each step is one product plus the
-accepted LU's raw solve.  A block fires the ``transient.step`` fault
-site once at its start and checks finiteness once at its end.
+accepted LU's raw solve.  A block checks finiteness once at its end.
 
-A block that raises or comes out non-finite, or whose factor is on a
-rung other than direct LU, re-runs from its start state **per step**:
-a failing step is retried (transient faults), then halved into ``2^k``
-backward-Euler substeps (hard nonlinear steps), per the
-:class:`~repro.resilience.policy.ResiliencePolicy`; every rescue is
-logged in the result's :class:`~repro.resilience.report.RunReport`.
+A block that comes out non-finite, fails its factors' ``vouch``, or
+whose factor is on a rung other than direct LU, re-runs from its start
+state **per step**.  There a step whose solve fails on every rung
+(:class:`SingularCircuitError`) or whose Newton iteration does not
+converge (:class:`ConvergenceError`) is halved into ``2^k``
+backward-Euler substeps, up to
+:data:`~repro.resilience.policy.MAX_STEP_HALVINGS` times; every rescue
+is logged in the result's :class:`~repro.resilience.report.RunReport`.
 Long runs can checkpoint themselves periodically and resume after a
 crash (see :class:`~repro.resilience.checkpoint.CheckpointConfig` and
 the ``repro resume`` CLI command).
@@ -49,7 +50,6 @@ from repro.circuit.netlist import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.cache import FACTOR_CACHE_SIZE, LRUCache, quantize_alpha
-from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     finish_checkpoint,
@@ -57,8 +57,9 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     verify_fingerprint,
 )
-from repro.resilience.faults import InjectedFault
-from repro.resilience.policy import ResiliencePolicy, default_policy
+from repro.resilience.policy import (
+    MAX_STEP_HALVINGS, ResiliencePolicy, default_policy,
+)
 from repro.resilience.report import RunReport, activate, current_run_report
 
 
@@ -71,7 +72,8 @@ class TransientResult:
         data: Unknown trajectories, shape (num_steps + 1, recorded columns).
         columns: Names of recorded columns (node or branch names).
         system: The compiled MNA system.
-        report: Resilience log of the run (retries, halvings, checkpoints).
+        report: Resilience log of the run (escalated solves, step
+            halvings, checkpoints).
     """
 
     times: np.ndarray
@@ -315,8 +317,8 @@ def transient_analysis(
         record: Node/branch names to record; ``None`` records everything.
         newton_tol: Per-step Newton residual tolerance (max-norm).
         max_newton: Newton iteration cap per step.
-        policy: Resilience policy (escalation rungs, retry budget, step
-            halvings); default from ``REPRO_RESILIENCE``.
+        policy: Resilience policy (escalation rungs); default from
+            ``REPRO_RESILIENCE``.
         checkpoint: Periodic snapshotting / resume configuration.  When
             given and the file exists (and matches this run), the
             simulation resumes from the last completed step; an
@@ -337,7 +339,9 @@ def transient_analysis(
         else MNASystem(circuit_or_system)
     )
     policy = policy or default_policy()
-    report = current_run_report() or RunReport()
+    report = current_run_report()
+    if report is None:
+        report = RunReport()
     g_matrix, c_matrix = system.build_matrices()
     sparse = sp.issparse(g_matrix)
 
@@ -448,7 +452,6 @@ def transient_analysis(
         return companion(alpha, serves).solve(rhs)
 
     def one_step(x_old, f_old, b_old, b_new, alpha, use_be):
-        faults.maybe_fail("transient.step")
         if not system.has_devices:
             return linear_step(x_old, b_old, b_new, alpha, use_be)
         return _newton_step(
@@ -475,7 +478,6 @@ def transient_analysis(
         return x_sub
 
     steps_counter = obs_metrics.counter("transient.steps")
-    retries_counter = obs_metrics.counter("transient.retries")
     halvings_counter = obs_metrics.counter("transient.step_halvings")
 
     def step_each(k0: int, k1: int) -> None:
@@ -491,7 +493,6 @@ def transient_analysis(
             use_be = method == "be" or k < 2
             alpha = (1.0 / dt) if use_be else (2.0 / dt)
 
-            retries = 0
             halvings = 0
             while True:
                 try:
@@ -500,21 +501,10 @@ def transient_analysis(
                     else:
                         x_new = halved_step(x, times[k], halvings)
                     break
-                except (SingularCircuitError, ConvergenceError,
-                        InjectedFault) as exc:
-                    if retries < policy.max_retries:
-                        retries += 1
-                        retries_counter.inc()
-                        report.record_retry(
-                            "transient",
-                            f"step {k + 1} retry {retries}/"
-                            f"{policy.max_retries}: {exc}",
-                        )
-                        continue
-                    if halvings < policy.max_step_halvings:
+                except (SingularCircuitError, ConvergenceError) as exc:
+                    if halvings < MAX_STEP_HALVINGS:
                         halvings += 1
                         halvings_counter.inc()
-                        retries = 0
                         report.record_step_halving(
                             "transient",
                             f"step {k + 1} -> {2 ** halvings} BE substeps "
@@ -534,15 +524,11 @@ def transient_analysis(
     def step_block(stepper: _BlockStepper, k0: int, k1: int) -> bool:
         """Steps ``k0 .. k1`` with raw solves; False leaves ``x`` as it was.
 
-        One ``transient.step`` fault site and one finiteness check per
-        block; the companion factors go through the escalation chain,
-        and any rung but direct LU makes the block fall back.
+        One finiteness check per block; the companion factors go through
+        the escalation chain, and any rung but direct LU makes the block
+        fall back.
         """
         nonlocal x
-        try:
-            faults.maybe_fail("transient.step")
-        except InjectedFault:
-            return False
         segments, factors = [], []
         for first, stop, use_be in _step_kinds(method, k0, k1):
             alpha = (1.0 / dt) if use_be else (2.0 / dt)

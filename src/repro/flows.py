@@ -186,8 +186,8 @@ class FlowResult:
         times: Simulation time points [s].
         waveforms: sink tap name -> voltage waveform.
         report: Resilience log of the run (sparsifier/ROM downgrades,
-            solver escalations, retries); ``report.clean`` is True for an
-            undisturbed run.
+            solver escalations, step halvings); ``report.clean`` is True
+            for an undisturbed run.
     """
 
     kind: str

@@ -37,7 +37,6 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     verify_fingerprint,
 )
-from repro.resilience.faults import InjectedFault
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import RunReport, current_run_report
 from repro.extraction.filaments import FilamentGrid, filaments_for_skin_depth
@@ -74,8 +73,8 @@ class LoopExtractionResult:
         frequencies: Sweep frequencies [Hz].
         impedance: Complex loop impedance Z(f) [ohm].
         num_filaments: Total filament branches in the solve.
-        report: Resilience log (retries, checkpoints) when the sweep ran
-            through the checkpointed path.
+        report: Resilience log of the sweep (escalated solves,
+            checkpoints, supervision events).
     """
 
     frequencies: np.ndarray
@@ -228,14 +227,13 @@ def _sweep_impedance(
     report: RunReport,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Per-frequency impedance sweep with retries and checkpointing.
+    """Per-frequency impedance sweep with checkpointing.
 
     Functionally identical to :func:`repro.circuit.ac.ac_impedance`, but
-    each frequency point is an individually retried unit of work
-    (``"loop.freq"`` fault site) and completed points are periodically
-    snapshotted, so a killed sweep resumes instead of restarting.  An
-    unrecoverable point writes an emergency snapshot of every point
-    solved before it.
+    completed points are periodically snapshotted, so a killed sweep
+    resumes instead of restarting.  A point that fails on every
+    escalation rung writes an emergency snapshot of every point solved
+    before it.
 
     A dense system first has its series nodes -- the filament midpoints
     that put each R in series with its L -- condensed out
@@ -338,7 +336,6 @@ def _sweep_impedance(
             c_matrix=c_matrix,
             b=b,
             site="loop",
-            retry_site="loop.freq",
             policy=policy,
             port=(i_plus, i_minus),
         )
@@ -365,7 +362,7 @@ def _sweep_impedance(
                 report=report,
                 on_done=on_done,
             )
-        except (SingularCircuitError, InjectedFault) as exc:
+        except SingularCircuitError as exc:
             if checkpoint is not None:
                 save(f"emergency: sweep failed: {exc}")
             raise
@@ -425,8 +422,8 @@ def extract_loop_impedance(
         tol: Hierarchical ACA tolerance (hierarchical only).
         leaf_size: Hierarchical cluster-tree leaf size (hierarchical
             only).
-        policy: Resilience policy (escalation and per-frequency retry
-            budget); default from ``REPRO_RESILIENCE``.
+        policy: Resilience policy (escalation rungs); default from
+            ``REPRO_RESILIENCE``.
         checkpoint: Periodic snapshotting of completed sweep points; a
             killed sweep resumes from the checkpoint (``repro resume``).
         workers: Process-pool width for the frequency sweep; default
@@ -480,7 +477,9 @@ def extract_loop_impedance(
         build_sp.attrs["filaments"] = num_filaments
 
     policy = policy or default_policy()
-    report = current_run_report() or RunReport()
+    report = current_run_report()
+    if report is None:
+        report = RunReport()
     z = _sweep_impedance(
         circuit, freqs, (sig_node, ref_node), 1e-12, policy, checkpoint,
         report, workers=workers,

@@ -20,10 +20,11 @@ which
 * lands results in the output array **by index**, so the sweep is
   bit-identical at any worker count, chunk size or completion order.
 
-Each point runs the one per-point retry loop, :meth:`SweepSpec.solve`:
-``"raise"`` faults at the retry site are retried ``policy.max_retries``
-times, then propagate.  Retries land in the active run report, which the
-map carries home from pool workers.
+Each point is one :meth:`SweepSpec.solve`: assemble ``G + j omega C``
+and solve it once through the escalation chain.  A point that fails on
+every rung raises :class:`~repro.circuit.linalg.SingularCircuitError`;
+escalated solves land in the active run report, which the map carries
+home from pool workers.
 
 Worker count resolves from the ``workers=`` argument, else the
 ``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``; the
@@ -40,13 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.circuit.linalg import (
-    ResilientFactorization, SingularCircuitError, SweepAssembler,
-)
-from repro.resilience import faults
-from repro.resilience.faults import InjectedFault
+from repro.circuit.linalg import ResilientFactorization, SweepAssembler
 from repro.resilience.policy import ResiliencePolicy, default_policy
-from repro.resilience.report import RunReport, current_run_report
+from repro.resilience.report import RunReport
 from repro.resilience.supervisor import (
     SupervisorConfig, supervised_map, worker_count,
 )
@@ -95,10 +92,9 @@ class SweepSpec:
         g_matrix: Conductance matrix (dense ndarray or scipy sparse).
         c_matrix: Susceptance matrix, same format.
         b: Complex right-hand side (the AC stimulus / port injection).
-        site: Solve-site name for the escalation chain's reports.
-        retry_site: Fault site checked (and retried) once per point, e.g.
-            ``"loop.freq"``; None solves without a per-point retry wrap.
-        policy: Resilience policy governing retries and escalation.
+        site: Solve-site name for the escalation chain's reports and
+            fault sites.
+        policy: Resilience policy governing escalation.
         port: ``(i_plus, i_minus)`` row indices (-1 = ground) to reduce a
             point to the complex port voltage; None returns full vectors.
     """
@@ -107,7 +103,6 @@ class SweepSpec:
     c_matrix: object
     b: np.ndarray
     site: str = "ac"
-    retry_site: str | None = None
     policy: ResiliencePolicy = field(default_factory=default_policy)
     port: tuple[int, int] | None = None
     _assembler: SweepAssembler | None = field(
@@ -131,32 +126,13 @@ class SweepSpec:
     def solve(self, f: float):
         """Solve one frequency point: the port voltage, or the full vector.
 
-        A ``"raise"`` fault at the retry site (or a singular system) is
-        retried ``policy.max_retries`` times, each retry recorded in the
-        active run report, and then propagates.
+        Raises :class:`~repro.circuit.linalg.SingularCircuitError` when
+        every escalation rung fails.
         """
-        a_matrix = self.assembler().at_omega(2.0 * np.pi * f)
-        retries = 0
-        while True:
-            try:
-                if self.retry_site is not None:
-                    faults.maybe_fail(self.retry_site)
-                x = ResilientFactorization(
-                    a_matrix, site=self.site, policy=self.policy
-                ).solve(self.b)
-                break
-            except (SingularCircuitError, InjectedFault) as exc:
-                if (self.retry_site is None
-                        or retries >= self.policy.max_retries):
-                    raise
-                retries += 1
-                report = current_run_report()
-                if report is not None:
-                    report.record_retry(
-                        self.site,
-                        f"f = {f:.4g} Hz: retry "
-                        f"{retries}/{self.policy.max_retries}: {exc}",
-                    )
+        x = ResilientFactorization(
+            self.assembler().at_omega(2.0 * np.pi * f),
+            site=self.site, policy=self.policy,
+        ).solve(self.b)
         if self.port is None:
             return x
         i_plus, i_minus = self.port
@@ -194,10 +170,9 @@ def parallel_sweep(
             :func:`~repro.resilience.supervisor.worker_count`); 1 solves
             in process.
         chunk: Points per scheduled chunk; default auto.
-        report: Run report receiving retries and escalated solves (from
-            workers too), supervision events (timeouts, restarts,
-            quarantines) and the downgrade record if the pool cannot be
-            created.
+        report: Run report receiving escalated solves (from workers too),
+            supervision events (timeouts, restarts, quarantines) and the
+            downgrade record if the pool cannot be created.
         on_done: Called with each completed point's index *after* its
             result is stored in ``out`` -- the checkpoint hook.
             Quarantined points pass through it too (their rows are NaN),
@@ -206,13 +181,13 @@ def parallel_sweep(
             :meth:`SupervisorConfig.from_env`.
 
     Returns:
-        ``out``.  If any point fails even after retries, the exception
-        propagates after every point completed before it has been stored
-        and reported via ``on_done`` (so an emergency checkpoint sees
-        every finished point).  Process-level failures -- hung or killed
-        workers, worker ``MemoryError`` -- do *not* propagate: the
-        supervisor reissues the work and, as a last resort, quarantines
-        the offending point as a NaN row.
+        ``out``.  If a point fails on every escalation rung, the
+        exception propagates after every point completed before it has
+        been stored and reported via ``on_done`` (so an emergency
+        checkpoint sees every finished point).  Process-level failures
+        -- hung or killed workers, worker ``MemoryError`` -- do *not*
+        propagate: the supervisor reissues the work and, as a last
+        resort, quarantines the offending point as a NaN row.
     """
     def store(i: int, row) -> None:
         out[i] = row

@@ -1,13 +1,18 @@
-"""Runtime fault tolerance: escalation, retries, checkpoints, degradation.
+"""Runtime fault tolerance: escalation, step halving, checkpoints,
+degradation.
 
 The paper's analyses *break* on hostile inputs -- truncated inductance
 matrices go non-passive, ill-scaled MNA systems defeat plain LU, long
 sweeps die mid-run.  This package is the layer that keeps production
-runs alive through all of that:
+runs alive through all of that.  It handles the failures that occur:
+a singular or non-finite solve escalates to the next rung, a transient
+step that still fails is halved, a hung or killed worker is reissued.
+It never re-runs the same deterministic solve, which would fail the
+same way.
 
-* :mod:`~repro.resilience.policy` -- the single knob object
-  (:class:`ResiliencePolicy`) governing escalation rungs, retry budgets,
-  and step control; default from ``REPRO_RESILIENCE``.
+* :mod:`~repro.resilience.policy` -- :class:`ResiliencePolicy`, which
+  escalation rungs are enabled (default from ``REPRO_RESILIENCE``), and
+  the step-halving budget.
 * :mod:`~repro.resilience.report` -- :class:`SolveReport` /
   :class:`RunReport`: structured records of every rescue taken.
 * :mod:`~repro.resilience.faults` -- seeded fault injection into named

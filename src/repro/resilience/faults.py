@@ -1,16 +1,23 @@
 """Deterministic fault injection into named solve sites.
 
-The escalation chain, retry policies, and checkpoint/resume paths only
-earn their keep if they demonstrably fire.  This module gives the test
-suite (and CI) a seeded, reproducible way to make them fire: solver
-internals call the three hooks below at *named sites*, and an installed
-:class:`FaultInjector` decides -- deterministically, from its seed and
-call order -- whether to sabotage that call.
+The escalation chain, step halving, the supervisor and the
+checkpoint/resume paths only earn their keep if they demonstrably fire.
+This module gives the test suite (and CI) a seeded, reproducible way to
+make them fire: solver internals call the hooks below at *named sites*,
+and an installed :class:`FaultInjector` decides -- deterministically,
+from its seed and call order -- whether to sabotage that call.
+
+Faults fire only where a real failure can occur: at each escalation
+rung's factorization and solution (``"<site>.<rung>"``, so the chain
+takes over exactly as for a singular system), at pool creation
+(``"<stage>.pool"``), in pool workers (``"<stage>.worker"``) and at the
+sparsifier fallback chain (``"sparsify.<name>"``).
 
 Fault kinds:
 
-* ``"raise"``    -- raise :class:`InjectedFault` at the site (a transient
-  exception: retrying the operation succeeds).
+* ``"raise"``    -- raise :class:`InjectedFault` at the site.  At a rung
+  site it fails that rung's factorization and the next rung takes over;
+  at a pool site the map falls back to the in-process path.
 * ``"nan"``      -- poison the solution vector with NaN (exercises the
   non-finite detection and escalation path).
 * ``"singular"`` -- replace the matrix handed to that site with a
@@ -28,16 +35,18 @@ Fault kinds:
   the supervised ``MemoryError`` path fires either way.
 
 Sites are dotted names (``"transient.lu"``, ``"dc.newton.equilibrated"``,
-``"loop.freq"``); specs match them with :mod:`fnmatch` patterns, so
-``"*.lu"`` targets the first escalation rung everywhere.
+``"loop.lu"``); specs match them with :mod:`fnmatch` patterns, so
+``"*.lu"`` targets the first escalation rung everywhere and
+``"transient.*"`` every rung of the transient solves.  There are no
+same-operation retries, so faulting every enabled rung fails the
+operation: a transient step is halved, a sweep point raises.
 
 Linear transients step in blocks of raw LU solves (see
 :mod:`repro.circuit.transient`), so their sites fire per block, not per
-step: ``"transient.step"`` once at each block's start, ``"raise"`` and
-``"singular"`` at ``"transient.<rung>"`` when a companion matrix is
-factored, and ``"nan"`` at ``"transient.lu"`` once per block on its end
-state.  A block a fault hits re-runs step by step, and there every
-step passes ``"transient.step"`` and every solve its rung's sites.
+step: ``"raise"`` and ``"singular"`` at ``"transient.<rung>"`` when a
+companion matrix is factored, and ``"nan"`` at ``"transient.lu"`` once
+per block on its end state.  A block a fault hits re-runs step by step,
+and there every solve passes its rung's sites.
 
 Activation is either programmatic::
 
@@ -48,7 +57,7 @@ or process-wide chaos via the environment: ``REPRO_FAULTS=chaos-1234``
 installs a low-probability injector over the recoverable sites, which CI
 uses to run the whole suite with every fallback path genuinely
 exercised.  Deterministic rule lists are also accepted --
-``REPRO_FAULTS='*.worker=hang@0.5,loop.freq=raise'`` -- which is how the
+``REPRO_FAULTS='*.worker=hang@0.5,loop.lu=raise'`` -- which is how the
 CI chaos-hang job makes specific supervision paths fire on demand.
 ``with inject_faults():`` (no specs) suppresses any ambient injector for
 precision-sensitive blocks.
@@ -68,7 +77,7 @@ import numpy as np
 
 
 class InjectedFault(RuntimeError):
-    """A deliberately injected, transient solver fault."""
+    """A deliberately injected solver fault (see ``"raise"``)."""
 
     def __init__(self, site: str, detail: str = "injected fault") -> None:
         self.site = site
@@ -81,7 +90,9 @@ class FaultSpec:
 
     Attributes:
         site: :mod:`fnmatch` pattern over dotted site names.
-        kind: ``"raise"`` / ``"nan"`` / ``"singular"``.
+        kind: ``"raise"`` / ``"nan"`` / ``"singular"`` at solve and pool
+            sites, ``"hang"`` / ``"crash"`` / ``"bigalloc"`` at worker
+            sites (see the module docstring).
         probability: Chance of firing per eligible call (1.0 = always).
         max_hits: Stop firing after this many injections (None = never).
         after: Skip this many eligible calls before becoming active --
@@ -135,22 +146,20 @@ class FaultInjector:
 
 
 #: Chaos-mode rules: low-probability faults at sites the resilience layer
-#: provably recovers from bit-compatibly (first-rung escalation recomputes
-#: the same answer; step retries redo identical work).  On linear
-#: transients ``transient.step`` and the ``nan`` rule are drawn once per
-#: block, and again per step only when the block is re-run step by step.
+#: recovers from: a first-rung fault escalates to equilibrated LU, which
+#: recomputes the same answer, and a pool fault falls back to the
+#: in-process path.  On linear transients the ``nan`` rule is drawn once
+#: per block, and again per step only when the block is re-run step by
+#: step.
 def chaos_specs() -> tuple[FaultSpec, ...]:
     return (
         FaultSpec("*.lu", "raise", probability=0.02, max_hits=None),
         FaultSpec("*.lu", "nan", probability=0.01, max_hits=None),
-        FaultSpec("transient.step", "raise", probability=0.003, max_hits=None),
-        FaultSpec("adaptive.step", "raise", probability=0.003, max_hits=None),
-        FaultSpec("loop.freq", "raise", probability=0.02, max_hits=None),
         FaultSpec("perf.pool", "raise", probability=0.05, max_hits=None),
         # Worker-process faults, recovered by the execution supervisor
         # (reissue after deadline kill / pool restart / MemoryError
         # strike).  Kept rare: each hit costs a deadline or a pool
-        # generation, not just a retry.
+        # generation.
         FaultSpec("*.worker", "hang", probability=0.003, max_hits=None),
         FaultSpec("*.worker", "crash", probability=0.003, max_hits=None),
         FaultSpec("*.worker", "bigalloc", probability=0.003, max_hits=None),
@@ -188,7 +197,7 @@ def injector_from_env(value: str | None = None) -> FaultInjector | None:
     0; ``chaos-<seed>`` -> chaos rules with that seed; otherwise a
     comma-separated deterministic rule list, each clause
     ``site=kind[@prob]`` (probability defaults to 1.0, unlimited hits),
-    e.g. ``'*.worker=hang@0.5,loop.freq=raise'``.
+    e.g. ``'*.worker=hang@0.5,loop.lu=raise'``.
     """
     raw = value if value is not None else os.environ.get("REPRO_FAULTS", "")
     raw = raw.strip().lower()

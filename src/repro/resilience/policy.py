@@ -1,21 +1,25 @@
-"""Retry, step-control, and escalation policies.
+"""Escalation policy and the step-halving budget.
 
-One frozen dataclass carries every knob the fault-tolerance layer
-consults, so engines take a single ``policy=`` argument and tests can
-construct exact configurations.  The default is read once from the
+Engines take a single ``policy=`` argument that selects which solver
+escalation rungs are available.  The default is read once from the
 ``REPRO_RESILIENCE`` environment variable:
 
-* ``off``  -- single-rung solves, no retries: fail fast (pre-resilience
-  behavior, useful to expose latent numerical problems).
+* ``off``  -- single-rung solves: fail fast (pre-resilience behavior,
+  useful to expose latent numerical problems).
 * ``safe`` -- the default.  Escalation rungs that are *answer-preserving*
-  (plain LU, then equilibrated LU) plus bounded retries and step
-  halving.  A genuinely singular system still raises.
+  (plain LU, then equilibrated LU).  A genuinely singular system still
+  raises.
 * ``full`` -- additionally enables the rescue rungs (gmin-shifted solve
   with iterative refinement, then Tikhonov-regularized least squares)
   and DC source stepping.  Rescue solutions are only accepted when their
-  residual against the original system passes ``residual_tol`` /
-  ``lstsq_tol``, so an inconsistent singular system still raises; see
-  DESIGN.md for why least squares is a last resort.
+  residual against the original system passes the tolerances of
+  :mod:`repro.circuit.linalg`, so an inconsistent singular system still
+  raises; see DESIGN.md for why least squares is a last resort.
+
+In every mode a transient step that fails is halved, up to
+:data:`MAX_STEP_HALVINGS` times, before the failure propagates.  There
+are no same-operation retries: re-running a deterministic solve fails
+the same way.
 """
 
 from __future__ import annotations
@@ -30,58 +34,20 @@ _RUNGS = {
     "full": ("lu", "equilibrated", "gmin", "lstsq"),
 }
 
+#: Times both transient engines halve a failing step before it propagates.
+MAX_STEP_HALVINGS = 4
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Every knob of the runtime fault-tolerance layer.
+    """Which solver escalation rungs the engines may use.
 
     Attributes:
-        escalation: ``"off"`` / ``"safe"`` / ``"full"`` -- which solver
-            escalation rungs are available (see module docstring).
-        max_retries: Plain same-operation retries after an injected or
-            transient fault (per time step / per sweep frequency).
-        max_step_halvings: How many times a failing transient step may be
-            halved (the step is integrated as ``2^k`` backward-Euler
-            substeps) before the failure propagates.
-        source_steps: DC source-stepping ramp fractions tried when gmin
-            stepping alone fails to converge (``full`` escalation only).
-        gmin_shifts: Relative diagonal shifts tried by the ``gmin``
-            escalation rung (scaled by the matrix diagonal magnitude).
-        refine_iters: Iterative-refinement sweeps the ``gmin`` rung runs
-            against the *original* matrix before accepting.
-        residual_tol: Max relative residual for accepting a ``gmin``-rung
-            solution.
-        lstsq_tol: Max relative residual for accepting a least-squares
-            last-resort solution.
-        krylov_tol: GMRES inner relative-residual target for the
-            matrix-free ``krylov`` rung (operator-backed systems only).
-            A stopping heuristic, not the acceptance criterion: quality
-            is judged by ``krylov_residual_tol`` afterwards.
-        krylov_restart: GMRES restart length (Krylov subspace dimension
-            per cycle).
-        krylov_maxiter: GMRES restart cycles before the rung declares
-            stagnation and falls back to the dense direct path.
-        krylov_residual_tol: Max normwise *backward error*
-            ``max|Ax-b| / (max|A| max|x| + max|b|)``, checked with a true
-            operator matvec independent of GMRES's preconditioned
-            estimate, for accepting a Krylov solution.  Backward-stable
-            direct solves land at machine level on this measure, so the
-            default leaves orders of magnitude of margin while still
-            rejecting genuine stagnation.
+        escalation: ``"off"`` / ``"safe"`` / ``"full"`` (see module
+            docstring).
     """
 
     escalation: str = "safe"
-    max_retries: int = 2
-    max_step_halvings: int = 4
-    source_steps: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    gmin_shifts: tuple[float, ...] = (1e-10, 1e-7)
-    refine_iters: int = 3
-    residual_tol: float = 1e-8
-    lstsq_tol: float = 1e-6
-    krylov_tol: float = 1e-9
-    krylov_restart: int = 150
-    krylov_maxiter: int = 12
-    krylov_residual_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.escalation not in _RUNGS:
@@ -89,8 +55,6 @@ class ResiliencePolicy:
                 f"escalation must be one of {sorted(_RUNGS)}, "
                 f"got {self.escalation!r}"
             )
-        if self.max_retries < 0 or self.max_step_halvings < 0:
-            raise ValueError("retry/halving counts must be >= 0")
 
     @property
     def rungs(self) -> tuple[str, ...]:
@@ -99,7 +63,7 @@ class ResiliencePolicy:
 
     @property
     def source_stepping_enabled(self) -> bool:
-        return self.escalation == "full" and bool(self.source_steps)
+        return self.escalation == "full"
 
     @classmethod
     def from_env(cls, env: str | None = None) -> "ResiliencePolicy":
@@ -125,4 +89,9 @@ def default_policy() -> ResiliencePolicy:
     return DEFAULT_POLICY
 
 
-__all__ = ["ResiliencePolicy", "DEFAULT_POLICY", "default_policy"]
+__all__ = [
+    "MAX_STEP_HALVINGS",
+    "ResiliencePolicy",
+    "DEFAULT_POLICY",
+    "default_policy",
+]

@@ -5,8 +5,8 @@ Two granularities:
 * :class:`SolveReport` -- one linear solve: which escalation rungs were
   tried, why each failed, condition estimates, and which rung won.
 * :class:`RunReport` -- one analysis run (a transient, a flow, a sweep):
-  retries, step halvings, checkpoints written, sparsifier/reduction
-  downgrades, and any solve reports that needed escalation.
+  step halvings, checkpoints written, sparsifier/reduction downgrades,
+  supervision events, and any solve reports that needed escalation.
 
 A run report can be *activated* for the current thread; solver internals
 attach their escalation records to the active report without every call
@@ -47,7 +47,7 @@ class SolveAttempt:
 
 @dataclass
 class SolveReport:
-    """Escalation trace of one (possibly retried) linear solve site.
+    """Escalation trace of one linear solve site.
 
     Attributes:
         site: Dotted solve-site name (``"transient"``, ``"dc.newton"``).
@@ -97,11 +97,11 @@ class RunEvent:
     """One noteworthy resilience action during a run.
 
     Attributes:
-        kind: ``"downgrade"`` / ``"retry"`` / ``"step-halving"`` /
-            ``"checkpoint"`` / ``"resume"`` / ``"source-stepping"``, plus
-            the supervision kinds ``"timeout"`` / ``"worker-lost"`` /
-            ``"restart"`` / ``"bisect"`` / ``"quarantine"`` /
-            ``"breaker"`` / ``"budget-exhausted"``.
+        kind: ``"downgrade"`` / ``"step-halving"`` / ``"checkpoint"`` /
+            ``"resume"`` / ``"source-stepping"``, plus the supervision
+            kinds ``"timeout"`` / ``"worker-lost"`` / ``"restart"`` /
+            ``"bisect"`` / ``"quarantine"`` / ``"breaker"`` /
+            ``"budget-exhausted"``.
         stage: Where it happened (``"sparsify"``, ``"transient"``, ...).
         detail: Human-readable specifics.
         span: Open-span path at recording time (``"flow.peec/flow.solve/
@@ -145,9 +145,6 @@ class RunReport:
 
     def record_downgrade(self, stage: str, from_: str, to: str, reason: str) -> None:
         self.record("downgrade", stage, f"{from_} -> {to}: {reason}")
-
-    def record_retry(self, stage: str, detail: str) -> None:
-        self.record("retry", stage, detail)
 
     def record_step_halving(self, stage: str, detail: str) -> None:
         self.record("step-halving", stage, detail)
@@ -195,10 +192,6 @@ class RunReport:
     @property
     def downgrades(self) -> list[RunEvent]:
         return self.by_kind("downgrade")
-
-    @property
-    def retries(self) -> list[RunEvent]:
-        return self.by_kind("retry")
 
     @property
     def timeouts(self) -> list[RunEvent]:

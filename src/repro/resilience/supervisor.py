@@ -38,8 +38,8 @@ three with one discipline:
   (NaN row, ``status: "quarantined"`` record) instead of aborting the
   sweep;
 * a **circuit breaker** trips pool execution to the caller's serial
-  path after ``max_pool_restarts`` pool generations, so restart storms
-  are bounded;
+  path after :data:`MAX_POOL_RESTARTS` pool generations, so restart
+  storms are bounded;
 * workers optionally run under a ``resource.setrlimit`` **memory
   ceiling** (``REPRO_WORKER_RLIMIT_MB``), turning runaway allocations
   into a catchable ``MemoryError`` instead of an OOM kill.
@@ -54,11 +54,11 @@ quarantine, breaker trip, budget exhaustion) is recorded in the active
 the caller's normal result/checkpoint callbacks -- lands in the
 checkpoint stream, so a SIGKILL'd sweep resumes bit-identically.
 
-Application exceptions (a genuinely singular system, an injected
-``"raise"`` fault past its retry budget) are *not* supervised: they
-propagate to the caller exactly as the unsupervised pool propagated
-them, after completed chunks have been stored.  Supervision concerns
-itself with the process-level failures the math cannot see.
+Application exceptions (a genuinely singular system) are *not*
+supervised: they propagate to the caller exactly as the unsupervised
+pool propagated them, after completed chunks have been stored.
+Supervision concerns itself with the process-level failures the math
+cannot see.
 """
 
 from __future__ import annotations
@@ -91,6 +91,24 @@ TIME_BUDGET_ENV = "REPRO_TIME_BUDGET"
 
 #: Target chunks handed out per worker; >1 so stragglers rebalance.
 OVERSUBSCRIBE = 4
+
+#: Watchdog poll period [s].
+HEARTBEAT = 0.05
+
+#: Floor of a deadline derived from the per-point cost estimate [s].
+MIN_DEADLINE = 1.0
+
+#: A derived deadline is this many times the estimated chunk cost.
+DEADLINE_FACTOR = 10.0
+
+#: Reissues of a failed chunk before it is bisected (one point: quarantined).
+MAX_CHUNK_RETRIES = 2
+
+#: Pool generations before the circuit breaker trips to the serial path.
+MAX_POOL_RESTARTS = 4
+
+#: First restart delay [s]; it doubles per restart up to BACKOFF_MAX.
+BACKOFF_BASE = 0.05
 
 #: Ceiling on the exponential restart backoff [s].
 BACKOFF_MAX = 2.0
@@ -179,31 +197,18 @@ def _positive_int(raw: str, what: str) -> int:
 
 @dataclass
 class SupervisorConfig:
-    """Knobs governing one supervised pool run.
+    """The deployment settings of one supervised pool run.
 
     Attributes:
         deadline: Hard per-chunk wall-clock cap [s].  ``None`` derives a
             deadline from the time budget's online per-point estimate
-            (``deadline_factor`` x predicted chunk cost, floored at
-            ``min_deadline``); with neither a deadline, a budget, nor an
-            estimate yet, chunks are unbounded (the pre-supervisor
+            (:data:`DEADLINE_FACTOR` x predicted chunk cost, floored at
+            :data:`MIN_DEADLINE`); with neither a deadline, a budget, nor
+            an estimate yet, chunks are unbounded (the pre-supervisor
             behavior).
         time_budget: Wall-clock allowance for the whole sweep [s]; when
             it runs out, unfinished points are quarantined as degraded
             records rather than blowing the allowance.
-        heartbeat: Watchdog poll period [s].
-        min_deadline: Floor for *derived* deadlines [s] (estimates from
-            a few fast chunks must not declare a merely-slower chunk
-            hung).
-        deadline_factor: Derived deadline = factor x estimated chunk
-            cost.
-        max_chunk_retries: Reissues a chunk gets before it is bisected
-            (and a single point before it is quarantined).
-        max_pool_restarts: Pool generations before the circuit breaker
-            trips to the caller's serial path.
-        backoff_base: First restart delay [s]; doubles (``backoff_factor``)
-            per restart, capped at :data:`BACKOFF_MAX`.
-        backoff_factor: Restart delay growth factor.
         rlimit_mb: Per-worker address-space ceiling [MiB] applied with
             ``resource.setrlimit`` in the pool initializer; ``None``
             leaves workers unlimited.
@@ -211,13 +216,6 @@ class SupervisorConfig:
 
     deadline: float | None = None
     time_budget: float | None = None
-    heartbeat: float = 0.05
-    min_deadline: float = 1.0
-    deadline_factor: float = 10.0
-    max_chunk_retries: int = 2
-    max_pool_restarts: int = 4
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     rlimit_mb: int | None = None
 
     def __post_init__(self) -> None:
@@ -225,12 +223,6 @@ class SupervisorConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not self.heartbeat > 0:
-            raise ValueError(f"heartbeat must be positive, got {self.heartbeat}")
-        if self.max_chunk_retries < 0:
-            raise ValueError("max_chunk_retries must be >= 0")
-        if self.max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be >= 0")
         if self.rlimit_mb is not None and self.rlimit_mb < 1:
             raise ValueError(
                 f"rlimit_mb must be >= 1 MiB, got {self.rlimit_mb}"
@@ -421,7 +413,7 @@ class SupervisionStats:
 class _Watchdog(threading.Thread):
     """Heartbeat monitor over one pool generation.
 
-    Polls the shared in-flight table every ``heartbeat`` seconds: stamps
+    Polls the shared in-flight table every :data:`HEARTBEAT` seconds: stamps
     a chunk's start time the first poll its future reports running,
     assigns its deadline, and -- on the first deadline overrun or on
     sweep-budget exhaustion -- records the verdicts and SIGKILLs the
@@ -435,7 +427,6 @@ class _Watchdog(threading.Thread):
         executor,
         inflight: dict,
         lock: threading.Lock,
-        heartbeat: float,
         deadline_for: Callable[[int], float | None],
         budget: TimeBudget,
     ) -> None:
@@ -443,7 +434,6 @@ class _Watchdog(threading.Thread):
         self._executor = executor
         self._inflight = inflight
         self._lock = lock
-        self._heartbeat = heartbeat
         self._deadline_for = deadline_for
         self._budget = budget
         self._stop_event = threading.Event()
@@ -456,7 +446,7 @@ class _Watchdog(threading.Thread):
         self.join(timeout=5.0)
 
     def run(self) -> None:
-        while not self._stop_event.wait(self._heartbeat):
+        while not self._stop_event.wait(HEARTBEAT):
             now = time.monotonic()  # qa: ignore[QA106] -- watchdog clock, not profiling
             expired: list[int] = []
             busy = False
@@ -551,12 +541,11 @@ class Supervisor:
 
     def _deadline_for(self, points: int) -> float | None:
         """Per-chunk wall-clock cap: explicit, else estimate-derived."""
-        cfg = self.config
-        limit = cfg.deadline
+        limit = self.config.deadline
         if limit is None:
             predicted = self.budget.estimate(points)
             if predicted is not None:
-                limit = max(cfg.min_deadline, cfg.deadline_factor * predicted)
+                limit = max(MIN_DEADLINE, DEADLINE_FACTOR * predicted)
         remaining = self.budget.remaining()
         if remaining is not None:
             # One chunk must never swallow the rest of the sweep budget.
@@ -608,7 +597,7 @@ class Supervisor:
                 f"chunk of {len(work.idx)} point(s) {reason} "
                 f"(strike {work.strikes})",
             )
-        if work.strikes <= self.config.max_chunk_retries:
+        if work.strikes <= MAX_CHUNK_RETRIES:
             work.reset()
             queue.append(work)
         elif len(work.idx) > 1:
@@ -748,8 +737,8 @@ class Supervisor:
                             break
                     if watchdog is None:
                         watchdog = _Watchdog(
-                            executor, inflight, lock, cfg.heartbeat,
-                            self._deadline_for, self.budget,
+                            executor, inflight, lock, self._deadline_for,
+                            self.budget,
                         )
                         watchdog.start()
                     pool_broken = False
@@ -850,13 +839,13 @@ class Supervisor:
                         continue  # everything resolved to results/quarantine
                     restarts += 1
                     stats.restarts = restarts
-                    if restarts > cfg.max_pool_restarts:
+                    if restarts > MAX_POOL_RESTARTS:
                         stats.breaker_tripped = True
                         obs_metrics.counter("supervisor.breaker_trips").inc()
                         if self.report is not None:
                             self.report.record_breaker(
                                 self.stage,
-                                f"pool restarted {cfg.max_pool_restarts} "
+                                f"pool restarted {MAX_POOL_RESTARTS} "
                                 "time(s) and died again; circuit breaker "
                                 "trips to the serial path",
                             )
@@ -865,9 +854,7 @@ class Supervisor:
                         self._serial_tail(works, stats)
                         break
                     delay = min(
-                        BACKOFF_MAX,
-                        cfg.backoff_base
-                        * cfg.backoff_factor ** (restarts - 1),
+                        BACKOFF_MAX, BACKOFF_BASE * 2.0 ** (restarts - 1)
                     )
                     obs_metrics.counter("supervisor.restarts").inc()
                     if self.report is not None:
@@ -1001,9 +988,15 @@ def supervised_map(
 
 
 __all__ = [
+    "BACKOFF_BASE",
     "BACKOFF_MAX",
     "DEADLINE_ENV",
+    "DEADLINE_FACTOR",
     "DRAIN_TIMEOUT",
+    "HEARTBEAT",
+    "MAX_CHUNK_RETRIES",
+    "MAX_POOL_RESTARTS",
+    "MIN_DEADLINE",
     "OVERSUBSCRIBE",
     "RLIMIT_ENV",
     "TIME_BUDGET_ENV",

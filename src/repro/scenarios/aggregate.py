@@ -25,9 +25,9 @@ def _sort_key(record: dict):
 def aggregate_records(records: list[dict]) -> list[dict]:
     """Deterministically ordered records without the resilience notes.
 
-    Notes are dropped because retry wording can differ between a serial
-    and a sharded run of the *same* results (forked RNG streams under
-    chaos injection); everything kept is a pure function of the
+    Notes are dropped because resilience events can differ between a
+    serial and a sharded run of the *same* results (forked RNG streams
+    under chaos injection); everything kept is a pure function of the
     scenario parameters.
     """
     rows = []

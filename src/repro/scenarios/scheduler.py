@@ -17,7 +17,7 @@ over the scenarios still to compute with
   deadlines, restarts of hung or killed workers, poison scenarios
   bisected out and quarantined as ``status: "quarantined"`` records, and
   a circuit breaker that trips to the serial path after
-  ``max_pool_restarts``;
+  :data:`~repro.resilience.supervisor.MAX_POOL_RESTARTS` restarts;
 * every completed record is persisted to the
   :class:`~repro.scenarios.store.ResultStore` as it lands (per-scenario
   checkpointing), and on the next run stored records are resumed instead

@@ -276,17 +276,3 @@ def test_nan_fault_on_a_block_replays_like_the_per_step_path(
     assert _reports(block) == _reports(each)
     assert block.data.tobytes() == each.data.tobytes()
 
-
-def test_step_fault_replay_logs_what_the_per_step_path_logs(per_step):
-    # On the block path the rule fires at the block's start and again on
-    # its replay's first step; on the per-step path, once on that step.
-    # Either way the run logs the one retry of step 1.
-    with per_step(), inject_faults(FaultSpec("transient.step", "raise")):
-        each = transient_analysis(_rc(), T_STOP, DT)
-    spec = FaultSpec("transient.step", "raise", max_hits=2)
-    with inject_faults(spec), tracing() as trace:
-        block = transient_analysis(_rc(), T_STOP, DT)
-    assert [e.kind for e in each.report.events] == ["retry"]
-    assert trace.find("circuit.transient").attrs["replayed"] == 1
-    assert _reports(block) == _reports(each)
-    assert block.data.tobytes() == each.data.tobytes()

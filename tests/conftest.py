@@ -1,4 +1,5 @@
-"""Shared fixtures: small layouts and cached extractions for speed."""
+"""Shared fixtures: small layouts, cached extractions and fast pool
+supervision, for speed."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.geometry import (
     build_signal_over_grid,
     default_layer_stack,
 )
+from repro.resilience import supervisor
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +76,32 @@ def signal_grid_extraction(signal_grid_structure):
     layout, _ = signal_grid_structure
     result, indices = extract_for_layout(layout)
     return result
+
+
+@pytest.fixture()
+def supervision(monkeypatch):
+    """Make the supervisor's module constants fast for one pool test.
+
+    Sets a 0.02 s watchdog heartbeat and a 0.01 s first restart backoff,
+    and returns a setter that also pins the chunk-retry and pool-restart
+    budgets.  Patching in the parent is enough: the watchdog and the
+    restart loop run there, not in the pool workers.
+    """
+    monkeypatch.setattr(supervisor, "HEARTBEAT", 0.02)
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
+
+    def budgets(
+        *,
+        max_chunk_retries: int | None = None,
+        max_pool_restarts: int | None = None,
+    ) -> None:
+        if max_chunk_retries is not None:
+            monkeypatch.setattr(
+                supervisor, "MAX_CHUNK_RETRIES", max_chunk_retries
+            )
+        if max_pool_restarts is not None:
+            monkeypatch.setattr(
+                supervisor, "MAX_POOL_RESTARTS", max_pool_restarts
+            )
+
+    return budgets

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import GROUND, Circuit
 from repro.loop.extractor import (
@@ -18,17 +19,14 @@ from repro.loop.extractor import (
 )
 from repro.obs.trace import tracing
 from repro.resilience import (
-    CheckpointConfig, FaultSpec, InjectedFault, ResiliencePolicy,
-    inject_faults,
+    CheckpointConfig, FaultSpec, ResiliencePolicy, inject_faults,
 )
 from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.report import RunReport
 from repro.resilience.resume import resume_loop
 from repro.scenarios.variants import VARIANTS, build_variant
 
-BRITTLE = ResiliencePolicy(
-    escalation="safe", max_retries=0, max_step_halvings=0
-)
+BRITTLE = ResiliencePolicy(escalation="safe")
 
 
 def make_port(ports):
@@ -159,8 +157,9 @@ def test_resume_from_the_embedded_deck(tmp_path, signal_grid_structure):
     with inject_faults():
         baseline = sweep().impedance
     path = tmp_path / "loop.ckpt"
-    with inject_faults(FaultSpec("loop.freq", "raise", after=3)):
-        with pytest.raises(InjectedFault):
+    # Both rungs of every point from the fourth on fail.
+    with inject_faults(FaultSpec("loop.*", "raise", after=3, max_hits=None)):
+        with pytest.raises(SingularCircuitError):
             sweep(checkpoint=CheckpointConfig(path, interval=2))
     snap = load_checkpoint(path)
     assert snap.meta.get("deck")

@@ -336,7 +336,7 @@ class TestFactorCacheIntegration:
         assert res.num_factorizations < len(res.times) - 5
 
     def test_fixed_step_result_matches_reference_after_lru_swap(self):
-        # Force the transient engine through solve-fault step handling so
+        # Force the transient engine through failed-solve step halving so
         # the factor cache sees the halved-substep alphas; the waveform
         # must still track an undisturbed run (halved steps integrate
         # with backward Euler, so exact equality is not expected).
@@ -357,14 +357,13 @@ class TestFactorCacheIntegration:
 
         with inject_faults():
             clean = transient_analysis(rlc(), 2e-9, 1e-12, record=["c"])
-        # The first rule fails the run's one block at its start, so the
-        # block re-runs step by step, where the second rule fires.
-        with inject_faults(
-            FaultSpec("transient.step", "raise"),
-            FaultSpec("transient.step", "raise", probability=0.05,
-                      max_hits=None),
-        ):
+        # The first hit fails the backward-Euler factor's LU rung on the
+        # run's one block, so the block re-runs step by step; the second
+        # fails its equilibrated rung there, and both backward-Euler
+        # steps are halved onto the next alpha.
+        with inject_faults(FaultSpec("transient.*", "nan", max_hits=2)):
             faulted = transient_analysis(rlc(), 2e-9, 1e-12, record=["c"])
         assert not faulted.report.clean  # the faults really fired
+        assert faulted.report.by_kind("step-halving")
         err = np.max(np.abs(faulted.voltage("c") - clean.voltage("c")))
         assert err < 0.05

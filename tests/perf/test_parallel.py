@@ -13,17 +13,17 @@ from repro.loop.extractor import LoopPort, extract_loop_impedance
 from repro.perf.parallel import SweepSpec, explicit_workers, parallel_sweep
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointConfig, load_checkpoint
-from repro.resilience.faults import FaultSpec, InjectedFault, inject_faults
+from repro.circuit.linalg import SingularCircuitError
+from repro.resilience.faults import FaultSpec, inject_faults
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import RunReport
 from repro.resilience.supervisor import (
     SupervisorConfig, chunk_indices, worker_count,
 )
 
-#: First fault is fatal: what the kill/resume scenario needs.
-BRITTLE = ResiliencePolicy(
-    escalation="safe", max_retries=0, max_step_halvings=0
-)
+#: Answer-preserving rungs only: a fault on both of them kills the
+#: sweep, which is what the kill/resume scenario needs.
+BRITTLE = ResiliencePolicy(escalation="safe")
 
 
 def make_port(ports):
@@ -229,7 +229,9 @@ class TestSupervisedSweep:
             parallel_sweep(self.tiny(), self.freqs, out, workers=1)
         return out
 
-    def test_crashed_worker_chunk_is_reissued(self, tmp_path, monkeypatch):
+    def test_crashed_worker_chunk_is_reissued(
+        self, tmp_path, monkeypatch, supervision
+    ):
         marker = tmp_path / "crashed"
 
         def crash_once(site):
@@ -243,8 +245,7 @@ class TestSupervisedSweep:
         with inject_faults():
             parallel_sweep(
                 self.tiny(), self.freqs, out, workers=2, chunk=2,
-                report=report,
-                config=SupervisorConfig(heartbeat=0.02, backoff_base=0.01),
+                report=report, config=SupervisorConfig(),
             )
         assert np.array_equal(out, self.serial_reference())
         assert report.by_kind("worker-lost")
@@ -277,13 +278,14 @@ class TestSupervisedSweep:
         assert not report.quarantines
 
     def test_poison_points_become_nan_rows_in_the_checkpoint_stream(
-        self, monkeypatch
+        self, monkeypatch, supervision
     ):
         def hang_always(site):
             if site == "perf.worker":
                 time.sleep(60.0)
 
         monkeypatch.setattr(faults, "maybe_disrupt", hang_always)
+        supervision(max_chunk_retries=0, max_pool_restarts=50)
         report = RunReport()
         freqs = np.linspace(1e6, 1e9, 4)
         out = np.zeros(len(freqs), dtype=complex)
@@ -293,10 +295,7 @@ class TestSupervisedSweep:
                 self.tiny(), freqs, out, workers=4, chunk=1,
                 report=report,
                 on_done=checkpointed.append,
-                config=SupervisorConfig(
-                    deadline=0.4, heartbeat=0.02, max_chunk_retries=0,
-                    max_pool_restarts=50, backoff_base=0.01,
-                ),
+                config=SupervisorConfig(deadline=0.4),
             )
         assert np.all(np.isnan(out.real)) and np.all(np.isnan(out.imag))
         assert len(report.quarantines) == 4
@@ -333,8 +332,11 @@ class TestParallelCheckpointing:
             )
         # Kill a serial run mid-sweep to leave a partial checkpoint...
         path = tmp_path / "resume.ckpt"
-        with inject_faults(FaultSpec("loop.freq", "raise", after=3)):
-            with pytest.raises(InjectedFault):
+        # Both rungs of every point from the fourth on fail.
+        with inject_faults(
+            FaultSpec("loop.*", "raise", after=3, max_hits=None)
+        ):
+            with pytest.raises(SingularCircuitError):
                 extract_loop_impedance(
                     layout, make_port(ports), freqs,
                     max_segment_length=150e-6, workers=1, policy=BRITTLE,

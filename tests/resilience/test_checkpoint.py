@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
 from repro.circuit.waveforms import Ramp
 from repro.resilience import (
     CheckpointConfig,
     FaultSpec,
-    InjectedFault,
     ResiliencePolicy,
     inject_faults,
 )
@@ -22,11 +22,9 @@ from repro.resilience.checkpoint import (
     verify_fingerprint,
 )
 
-#: No retries, no halvings: the first injected fault is fatal, which is
-#: exactly what the kill/resume tests need.
-BRITTLE = ResiliencePolicy(
-    escalation="safe", max_retries=0, max_step_halvings=0
-)
+#: Answer-preserving rungs only: a fault on both of them is fatal, which
+#: is exactly what the kill/resume tests need.
+BRITTLE = ResiliencePolicy(escalation="safe")
 
 
 def _rlc_line():
@@ -107,12 +105,13 @@ class TestTransientKillResume:
 
         path = tmp_path / "line.ckpt"
         config = CheckpointConfig(path, interval=100)
-        # ``transient.step`` fires once per 100-step block: the seventh
-        # block (from step 600) raises, and so does its per-step replay.
+        # The nan rule sees the first block's two factors, then one per
+        # 100-step block: the seventh block (from step 600) fails, and
+        # on its per-step replay every rung of every halving does too.
         with inject_faults(FaultSpec(
-            "transient.step", "raise", after=6, max_hits=None
+            "transient.*", "nan", after=7, max_hits=None
         )):
-            with pytest.raises(InjectedFault):
+            with pytest.raises(SingularCircuitError):
                 transient_analysis(
                     _rlc_line(), T_STOP, DT, policy=BRITTLE,
                     checkpoint=config,
@@ -120,7 +119,7 @@ class TestTransientKillResume:
         assert path.exists()  # emergency snapshot survived the "crash"
         killed = load_checkpoint(path)
         assert killed.meta["reason"].startswith("emergency")
-        assert 0 < killed.meta["step"] < 1000
+        assert killed.meta["step"] == 600
 
         with inject_faults():
             resumed = transient_analysis(
@@ -159,9 +158,9 @@ class TestTransientKillResume:
     def test_mismatched_checkpoint_refuses_to_resume(self, tmp_path):
         path = tmp_path / "stale.ckpt"
         with inject_faults(FaultSpec(
-            "transient.step", "raise", after=6, max_hits=None
+            "transient.*", "nan", after=7, max_hits=None
         )):
-            with pytest.raises(InjectedFault):
+            with pytest.raises(SingularCircuitError):
                 transient_analysis(
                     _rlc_line(), T_STOP, DT, policy=BRITTLE,
                     checkpoint=CheckpointConfig(path, interval=100),
@@ -199,8 +198,11 @@ class TestLoopSweepKillResume:
             )
 
         path = tmp_path / "sweep.ckpt"
-        with inject_faults(FaultSpec("loop.freq", "raise", after=3)):
-            with pytest.raises(InjectedFault):
+        # Both rungs of every point from the fourth on fail.
+        with inject_faults(
+            FaultSpec("loop.*", "raise", after=3, max_hits=None)
+        ):
+            with pytest.raises(SingularCircuitError):
                 extract_loop_impedance(
                     layout, port, freqs, policy=BRITTLE,
                     checkpoint=CheckpointConfig(path, interval=2),

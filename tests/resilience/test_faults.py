@@ -149,10 +149,10 @@ class TestEnvGrammar:
         assert kinds == {"hang", "crash", "bigalloc"}
 
     def test_deterministic_rule_list(self):
-        inj = injector_from_env("*.worker=hang@0.5,loop.freq=raise")
+        inj = injector_from_env("*.worker=hang@0.5,loop.lu=raise")
         assert [(s.site, s.kind, s.probability) for s in inj.specs] == [
             ("*.worker", "hang", 0.5),
-            ("loop.freq", "raise", 1.0),
+            ("loop.lu", "raise", 1.0),
         ]
         # Rules fire until further notice, not just once.
         assert all(s.max_hits is None for s in inj.specs)

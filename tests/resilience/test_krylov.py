@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.circuit import linalg
 from repro.circuit.linalg import (
+    KRYLOV_RESIDUAL_TOL,
     LSTSQ_DENSE_LIMIT,
     OperatorSystem,
     ResilientFactorization,
@@ -138,7 +140,7 @@ class TestKrylovSpans:
         assert len(gmres) == 1
         assert iters > 1
         assert gmres[0].attrs["iterations"] == iters
-        assert gmres[0].attrs["backward_error"] <= SAFE.krylov_residual_tol
+        assert gmres[0].attrs["backward_error"] <= KRYLOV_RESIDUAL_TOL
 
     def test_direct_rungs_open_no_spans(self):
         a, b = _dense_system()
@@ -149,19 +151,21 @@ class TestKrylovSpans:
 
 
 class TestKrylovFallback:
-    #: Two GMRES iterations against an identity preconditioner cannot
-    #: reach machine-level backward error on a random dense system, so
-    #: the rung exhausts its budget and stagnates deterministically.
-    TIGHT = ResiliencePolicy(
-        escalation="safe", krylov_restart=2, krylov_maxiter=1,
-        krylov_tol=1e-30, krylov_residual_tol=1e-15,
-    )
+    @pytest.fixture(autouse=True)
+    def tight(self, monkeypatch):
+        """Two GMRES iterations against an identity preconditioner cannot
+        reach machine-level backward error on a random dense system, so
+        the rung exhausts its budget and stagnates deterministically."""
+        monkeypatch.setattr(linalg, "KRYLOV_RESTART", 2)
+        monkeypatch.setattr(linalg, "KRYLOV_MAXITER", 1)
+        monkeypatch.setattr(linalg, "KRYLOV_TOL", 1e-30)
+        monkeypatch.setattr(linalg, "KRYLOV_RESIDUAL_TOL", 1e-15)
 
     def _stagnating_system(self, n=18, seed=9):
         """Operator whose preconditioner is useless (identity).
 
-        Under :attr:`TIGHT`'s two-iteration budget GMRES cannot meet the
-        backward-error acceptance, so the chain must materialize the
+        Under the :meth:`tight` two-iteration budget GMRES cannot meet
+        the backward-error acceptance, so the chain must materialize the
         operator and fall back to the direct rungs.
         """
         rng = np.random.default_rng(seed)
@@ -180,7 +184,7 @@ class TestKrylovFallback:
         fallbacks0 = obs_metrics.counter("solver.krylov_fallbacks").value
         stagnations0 = obs_metrics.counter("solver.krylov_stagnations").value
         with inject_faults():
-            rf = ResilientFactorization(system, site="t", policy=self.TIGHT)
+            rf = ResilientFactorization(system, site="t", policy=SAFE)
             x = rf.solve(b)
         # The answer comes from the materialized matrix via LU.
         assert np.allclose(system.materialize() @ x, b, rtol=1e-9, atol=1e-12)
@@ -197,7 +201,7 @@ class TestKrylovFallback:
         b = np.ones(system.shape[0])
         report = RunReport()
         with inject_faults(), activate(report):
-            resilient_solve(system, b, site="t", policy=self.TIGHT)
+            resilient_solve(system, b, site="t", policy=SAFE)
         downgrades = report.downgrades
         assert len(downgrades) == 1
         assert "krylov" in downgrades[0].detail
@@ -209,7 +213,7 @@ class TestKrylovFallback:
         system.materialize = lambda: calls.append(1) or true_materialize()
         b = np.ones(system.shape[0])
         with inject_faults():
-            rf = ResilientFactorization(system, site="t", policy=self.TIGHT)
+            rf = ResilientFactorization(system, site="t", policy=SAFE)
             rf.solve(b)
             rf.solve(2.0 * b)
         assert len(calls) == 1
@@ -229,7 +233,7 @@ class TestKrylovFallback:
         )
         b = np.ones(n)
         with inject_faults():
-            x = resilient_solve(system, b, site="t", policy=self.TIGHT)
+            x = resilient_solve(system, b, site="t", policy=SAFE)
         assert np.allclose(a @ x, b, rtol=1e-9, atol=1e-12)
 
 
@@ -284,8 +288,6 @@ class TestFactorizationLifetime:
 
     def test_lu_rung_factor_is_freed(self, monkeypatch):
         import weakref
-
-        from repro.circuit import linalg
 
         made = []
 

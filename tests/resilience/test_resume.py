@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
 from repro.circuit.waveforms import Ramp
 from repro.resilience import (
     CheckpointConfig,
     FaultSpec,
-    InjectedFault,
     ResiliencePolicy,
     inject_faults,
 )
@@ -21,9 +21,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.resume import describe, resume_transient
 
-BRITTLE = ResiliencePolicy(
-    escalation="safe", max_retries=0, max_step_halvings=0
-)
+BRITTLE = ResiliencePolicy(escalation="safe")
 T_STOP, DT = 1e-9, 1e-12
 
 
@@ -40,12 +38,13 @@ def _line():
 def killed_run(tmp_path):
     """A transient checkpoint left behind by a mid-run 'crash'."""
     path = tmp_path / "crashed.ckpt"
-    # ``transient.step`` fires once per 100-step block: the sixth block
-    # (from step 500) raises, and so does its per-step replay.
+    # The nan rule sees the first block's two factors, then one per
+    # 100-step block: the sixth block (from step 500) fails, and on its
+    # per-step replay every rung of every halving does too.
     with inject_faults(FaultSpec(
-        "transient.step", "raise", after=5, max_hits=None
+        "transient.*", "nan", after=6, max_hits=None
     )):
-        with pytest.raises(InjectedFault):
+        with pytest.raises(SingularCircuitError):
             transient_analysis(
                 _line(), T_STOP, DT, policy=BRITTLE,
                 checkpoint=CheckpointConfig(path, interval=100),

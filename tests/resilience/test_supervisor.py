@@ -141,12 +141,6 @@ class TestSupervisorConfig:
         with pytest.raises(ValueError):
             SupervisorConfig(time_budget=-1.0)
         with pytest.raises(ValueError):
-            SupervisorConfig(heartbeat=0.0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(max_chunk_retries=-1)
-        with pytest.raises(ValueError):
-            SupervisorConfig(max_pool_restarts=-1)
-        with pytest.raises(ValueError):
             SupervisorConfig(rlimit_mb=0)
 
     def test_from_env_reads_knobs(self, monkeypatch):
@@ -189,7 +183,7 @@ class TestDeadlineDerivation:
     def test_derived_deadline_is_floored(self):
         sup = _dummy_supervisor(SupervisorConfig())
         sup.budget.observe(1, 1e-4)
-        assert sup._deadline_for(1) == pytest.approx(1.0)  # min_deadline
+        assert sup._deadline_for(1) == pytest.approx(1.0)  # MIN_DEADLINE
 
     def test_capped_by_remaining_budget(self):
         clock_now = [100.0]
@@ -204,22 +198,18 @@ class TestDeadlineDerivation:
 
 
 class TestSupervisedExecution:
-    def test_clean_run(self, tmp_path):
+    def test_clean_run(self, tmp_path, supervision):
         results, quarantined, stats, report = _run(
-            _squares, [[0, 1], [2, 3]],
-            SupervisorConfig(heartbeat=0.02), tmp_path,
+            _squares, [[0, 1], [2, 3]], SupervisorConfig(), tmp_path,
         )
         assert results == {0: 0, 1: 1, 2: 4, 3: 9}
         assert quarantined == []
         assert stats.clean
         assert report.events == []
 
-    def test_hung_chunk_is_killed_and_reissued(self, tmp_path):
+    def test_hung_chunk_is_killed_and_reissued(self, tmp_path, supervision):
         results, quarantined, stats, report = _run(
-            _hang_once, [[0, 1], [2, 3]],
-            SupervisorConfig(
-                deadline=0.5, heartbeat=0.02, backoff_base=0.01,
-            ),
+            _hang_once, [[0, 1], [2, 3]], SupervisorConfig(deadline=0.5),
             tmp_path,
         )
         assert results == {0: 0, 1: 1, 2: 4, 3: 9}
@@ -229,11 +219,9 @@ class TestSupervisedExecution:
         assert report.timeouts
         assert report.by_kind("restart")
 
-    def test_crashed_worker_chunk_is_reissued(self, tmp_path):
+    def test_crashed_worker_chunk_is_reissued(self, tmp_path, supervision):
         results, quarantined, stats, report = _run(
-            _crash_once, [[0, 1], [2, 3]],
-            SupervisorConfig(heartbeat=0.02, backoff_base=0.01),
-            tmp_path,
+            _crash_once, [[0, 1], [2, 3]], SupervisorConfig(), tmp_path,
         )
         assert results == {0: 0, 1: 1, 2: 4, 3: 9}
         assert quarantined == []
@@ -241,11 +229,11 @@ class TestSupervisedExecution:
         assert stats.restarts >= 1
         assert report.by_kind("worker-lost")
 
-    def test_memory_error_is_a_strike_not_a_crash(self, tmp_path):
+    def test_memory_error_is_a_strike_not_a_crash(
+        self, tmp_path, supervision
+    ):
         results, quarantined, stats, report = _run(
-            _oom_once, [[0, 1], [2, 3]],
-            SupervisorConfig(heartbeat=0.02, backoff_base=0.01),
-            tmp_path,
+            _oom_once, [[0, 1], [2, 3]], SupervisorConfig(), tmp_path,
         )
         assert results == {0: 0, 1: 1, 2: 4, 3: 9}
         assert quarantined == []
@@ -253,14 +241,12 @@ class TestSupervisedExecution:
         # A MemoryError comes back through the future: the pool survives.
         assert stats.restarts == 0
 
-    def test_poison_point_is_bisected_down_and_quarantined(self, tmp_path):
+    def test_poison_point_is_bisected_down_and_quarantined(
+        self, tmp_path, supervision
+    ):
+        supervision(max_chunk_retries=1, max_pool_restarts=10)
         results, quarantined, stats, report = _run(
-            _poison_three, [[0, 1], [2, 3]],
-            SupervisorConfig(
-                heartbeat=0.02, backoff_base=0.01,
-                max_chunk_retries=1, max_pool_restarts=10,
-            ),
-            tmp_path,
+            _poison_three, [[0, 1], [2, 3]], SupervisorConfig(), tmp_path,
         )
         assert results == {0: 0, 1: 1, 2: 4}
         assert [point for point, _ in quarantined] == [3]
@@ -269,14 +255,10 @@ class TestSupervisedExecution:
         assert report.by_kind("bisect")
         assert report.quarantines
 
-    def test_breaker_trips_to_the_serial_path(self, tmp_path):
+    def test_breaker_trips_to_the_serial_path(self, tmp_path, supervision):
+        supervision(max_chunk_retries=50, max_pool_restarts=1)
         results, quarantined, stats, report = _run(
-            _crash_always, [[0, 1], [2, 3]],
-            SupervisorConfig(
-                heartbeat=0.02, backoff_base=0.01,
-                max_chunk_retries=50, max_pool_restarts=1,
-            ),
-            tmp_path,
+            _crash_always, [[0, 1], [2, 3]], SupervisorConfig(), tmp_path,
         )
         # Serial fallback answers (the -i - 1 marker), not worker answers.
         assert results == {0: -1, 1: -2, 2: -3, 3: -4}
@@ -284,11 +266,12 @@ class TestSupervisedExecution:
         assert stats.breaker_tripped
         assert report.by_kind("breaker")
 
-    def test_budget_exhaustion_quarantines_the_remainder(self, tmp_path):
+    def test_budget_exhaustion_quarantines_the_remainder(
+        self, tmp_path, supervision
+    ):
         results, quarantined, stats, report = _run(
             _hang_always, [[0], [1], [2], [3]],
-            SupervisorConfig(time_budget=0.4, heartbeat=0.02),
-            tmp_path,
+            SupervisorConfig(time_budget=0.4), tmp_path,
         )
         assert results == {}
         assert sorted(point for point, _ in quarantined) == [0, 1, 2, 3]
@@ -296,11 +279,10 @@ class TestSupervisedExecution:
         assert stats.budget_exhausted
         assert report.by_kind("budget-exhausted")
 
-    def test_application_exception_propagates(self, tmp_path):
+    def test_application_exception_propagates(self, tmp_path, supervision):
         with pytest.raises(ValueError, match="application failure"):
             _run(
-                _raise_value_error, [[0, 1]],
-                SupervisorConfig(heartbeat=0.02), tmp_path,
+                _raise_value_error, [[0, 1]], SupervisorConfig(), tmp_path,
             )
 
 

@@ -39,7 +39,7 @@ def _clean_env():
 
 class TestWorkerKill:
     def test_killed_worker_recovers_bit_identical(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, supervision
     ):
         marker = tmp_path / "killed"
 
@@ -55,14 +55,13 @@ class TestWorkerKill:
             os._exit(13)
 
         monkeypatch.setattr(faults, "maybe_disrupt", crash_once)
+        supervision(max_pool_restarts=5)
         spec = small_spec(name="wkill")
         store = ResultStore(tmp_path / "store")
         with inject_faults():
             survived = run_sweep(
                 spec, store=store, workers=2, chunk=1,
-                config=SupervisorConfig(
-                    heartbeat=0.02, backoff_base=0.01, max_pool_restarts=5,
-                ),
+                config=SupervisorConfig(),
             )
         assert marker.exists()  # the fault really fired
         monkeypatch.setattr(faults, "maybe_disrupt", lambda site: None)

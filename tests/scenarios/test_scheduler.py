@@ -129,7 +129,7 @@ class TestCheckpointAndResume:
 
 class TestSupervisedQuarantine:
     def test_hang_storm_quarantines_every_scenario(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, supervision
     ):
         # Every worker shard hangs; the watchdog kills each one at its
         # deadline and, with no retries allowed, single-scenario shards
@@ -139,15 +139,13 @@ class TestSupervisedQuarantine:
                 time.sleep(60.0)
 
         monkeypatch.setattr(faults, "maybe_disrupt", hang_always)
+        supervision(max_chunk_retries=0, max_pool_restarts=50)
         spec = small_spec(name="storm")
         store = ResultStore(tmp_path)
         with inject_faults():
             result = run_sweep(
                 spec, store=store, workers=4, chunk=1,
-                config=SupervisorConfig(
-                    deadline=0.4, heartbeat=0.02, max_chunk_retries=0,
-                    max_pool_restarts=50, backoff_base=0.01,
-                ),
+                config=SupervisorConfig(deadline=0.4),
             )
         assert result.quarantined == 8 and result.ok == 0
         assert [r["id"] for r in result.records] == [
