@@ -12,12 +12,14 @@ alone fails.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.circuit.linalg import (
     Factorization,
     ResilientFactorization,
     SingularCircuitError,
     add_gmin,
+    solve_matrices,
 )
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import Circuit
@@ -155,8 +157,35 @@ def dc_operating_point(
         SingularCircuitError: The topology itself is singular.
     """
     system = _as_system(circuit_or_system)
-    with span("circuit.dc", size=system.size, nonlinear=system.has_devices):
+    if not system.has_devices:
+        g_matrix, _ = solve_matrices(*system.build_matrices())
+        return linear_dc(system, g_matrix, t, gmin, policy)
+    with span("circuit.dc", size=system.size, nonlinear=True):
         return _dc_solve(system, t, gmin, tol, max_iter, x0, policy)
+
+
+def linear_dc(
+    system: MNASystem, g_matrix, t: float = 0.0, gmin: float = 1e-12,
+    policy: ResiliencePolicy | None = None,
+) -> np.ndarray:
+    """DC point of a circuit without devices: one solve of
+    ``(G + gmin) x = b(t)``.
+
+    ``g_matrix`` is G as :func:`~repro.circuit.linalg.solve_matrices`
+    gives it, so the DC point factors dense or sparse like the
+    transient's companion matrices.
+    """
+    with span("circuit.dc", size=system.size, nonlinear=False) as dc_span:
+        g_dc = add_gmin(g_matrix, system.n, gmin)
+        factor = ResilientFactorization(
+            g_dc, site="dc", policy=policy or default_policy()
+        )
+        x = factor.solve(system.rhs(t))
+        dc_span.attrs.update(
+            format="sparse" if sp.issparse(g_dc) else "dense",
+            factor_nnz=factor.factor_nnz,
+        )
+        return x
 
 
 def _dc_solve(
@@ -172,10 +201,6 @@ def _dc_solve(
     g_matrix, _ = system.build_matrices()
     b = system.rhs(t)
     guess = np.zeros(system.size) if x0 is None else np.asarray(x0, dtype=float)
-
-    if not system.has_devices:
-        g_dc = add_gmin(g_matrix, system.n, gmin)
-        return ResilientFactorization(g_dc, site="dc", policy=policy).solve(b)
 
     # Gmin stepping: converge with a strong leak first, then tighten.
     stages = [1e-3, 1e-6, gmin] if gmin < 1e-6 else [1e-3, gmin]

@@ -2,7 +2,11 @@
 
 Wraps dense LU (scipy.linalg) and sparse LU (SuperLU via scipy.sparse)
 behind one interface so the DC/AC/transient engines don't care which
-matrix format :meth:`MNASystem.build_matrices` chose.
+matrix format :meth:`MNASystem.build_matrices` chose.  Every sparse LU
+in the program is :func:`sparse_lu`, and :func:`sparse_pays` is the one
+rule that sends a dense-built linear system to it
+(:func:`solve_matrices`).  Every LU factor, dense or sparse, runs on one
+BLAS thread (:func:`~repro.circuit.blas.one_blas_thread`).
 
 On top of the raw :class:`Factorization` sits the solver **escalation
 chain** (:class:`ResilientFactorization`): direct LU, then equilibrated
@@ -48,6 +52,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.circuit.blas import one_blas_thread
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience import faults
@@ -88,6 +93,15 @@ KRYLOV_MAXITER = 12
 #: Largest normwise backward error at which a krylov solution passes.
 KRYLOV_RESIDUAL_TOL = 1e-8
 
+#: Relative pivot threshold of :func:`sparse_lu` (SPICE's PIVREL): a
+#: diagonal pivot stands while it is at least this share of its column's
+#: largest entry, so the zero diagonals of voltage-source rows pivot off.
+PIVOT_THRESHOLD = 1e-3
+
+#: Stored entries :func:`sparse_pays` adds for the fixed cost of a
+#: sparse call before comparing against n^2.
+SPARSE_ALLOWANCE = 4096
+
 
 class SingularCircuitError(RuntimeError):
     """The MNA matrix is singular.
@@ -96,6 +110,53 @@ class SingularCircuitError(RuntimeError):
     resistor), ideal inductors in parallel with no series resistance, or a
     loop of ideal voltage sources.
     """
+
+
+def sparse_lu(matrix) -> spla.SuperLU:
+    """The sparse LU factor of ``matrix``: SuperLU in symmetric mode.
+
+    MNA matrices are structurally near-symmetric, so the fill-reducing
+    ordering is minimum degree on ``A + A^T`` and SuperLU keeps the
+    diagonal pivots while they pass :data:`PIVOT_THRESHOLD`.  On the
+    Table-1 companion matrices this stores about half the entries of
+    the default COLAMD factor and a tenth of the dense one.
+    """
+    with one_blas_thread():
+        return spla.splu(
+            matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=PIVOT_THRESHOLD,
+            options={"SymmetricMode": True},
+        )
+
+
+def sparse_pays(g_matrix, c_matrix) -> bool:
+    """Whether ``alpha C + G`` is multiplied and factored sparse.
+
+    True for sparse input, and for dense input whose G and C together
+    store, with :data:`SPARSE_ALLOWANCE` for the sparse calls' fixed
+    cost, at most an eighth of n^2 entries.  A dense product or LU
+    touches all n^2 entries; the sparse ones touch only the stored
+    entries (and the factor's fill), at several times the cost per
+    entry: dense wins for small or filled systems, sparse for large
+    sparse ones.
+    """
+    if sp.issparse(g_matrix):
+        return True
+    n = g_matrix.shape[0]
+    stored = np.count_nonzero(g_matrix) + np.count_nonzero(c_matrix)
+    return 8 * (stored + SPARSE_ALLOWANCE) <= n * n
+
+
+def solve_matrices(g_matrix, c_matrix) -> tuple:
+    """``(G, C)`` in the format that multiplies and factors them.
+
+    CSR copies of dense-built matrices when :func:`sparse_pays`, the
+    matrices themselves otherwise.  The linear DC point and transient
+    both take their matrices from here.
+    """
+    if sp.issparse(g_matrix) or not sparse_pays(g_matrix, c_matrix):
+        return g_matrix, c_matrix
+    return sp.csr_matrix(g_matrix), sp.csr_matrix(c_matrix)
 
 
 class Factorization:
@@ -110,14 +171,22 @@ class Factorization:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", sla.LinAlgWarning)
                 if self._sparse:
-                    self._lu = spla.splu(matrix.tocsc())
+                    self._lu = sparse_lu(matrix)
                 else:
-                    self._lu = sla.lu_factor(np.asarray(matrix))
+                    with one_blas_thread():
+                        self._lu = sla.lu_factor(np.asarray(matrix))
         except (RuntimeError, ValueError, np.linalg.LinAlgError,
                 sla.LinAlgWarning) as exc:
             raise SingularCircuitError(
                 f"MNA matrix factorization failed: {exc}"
             ) from exc
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the factor: n^2 dense, SuperLU's L and U."""
+        if self._sparse:
+            return int(self._lu.nnz)
+        return int(self._lu[0].size)
 
     @property
     def condition_estimate(self) -> float:
@@ -368,10 +437,16 @@ class ResilientFactorization:
         self._solver = None
         self._raw = None
         self._cond: float | None = None
+        self._nnz: int | None = None
         self._ok_recorded = False
         self._attached = False
 
     # -- rung preparation --------------------------------------------------
+
+    def _note(self, factor: Factorization) -> None:
+        """Record the size and conditioning of the rung's factor."""
+        self._cond = factor.condition_estimate
+        self._nnz = factor.nnz
 
     def _prepare(self, rung: str):
         """Factor the matrix for ``rung``; returns a solve closure."""
@@ -416,7 +491,7 @@ class ResilientFactorization:
     def _prepare_krylov(self, site_r: str, system):
         """Preconditioned GMRES over the matrix-free operator.
 
-        The preconditioner is ``splu`` of the sparse near field
+        The preconditioner is :func:`sparse_lu` of the sparse near field
         ``G + sigma * near``, factored once per system; the compressed
         far field enters only through the operator matvec, and GMRES
         pays for it in iterations.  The factorization runs
@@ -443,13 +518,14 @@ class ResilientFactorization:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", sla.LinAlgWarning)
-                    m_factor = spla.splu(system.precond.tocsc())
+                    m_factor = sparse_lu(system.precond)
             except (RuntimeError, ValueError, np.linalg.LinAlgError,
                     sla.LinAlgWarning) as exc:
                 raise SingularCircuitError(
                     f"krylov preconditioner factorization failed: {exc}"
                 ) from exc
-            setup_span.attrs["factor_nnz"] = int(m_factor.nnz)
+            self._nnz = int(m_factor.nnz)
+            setup_span.attrs["factor_nnz"] = self._nnz
         u_diag = np.abs(m_factor.U.diagonal())
         smallest = float(u_diag.min()) if u_diag.size else 1.0
         self._cond = (
@@ -520,7 +596,7 @@ class ResilientFactorization:
 
     def _prepare_lu(self, site_r: str, matrix):
         factor = Factorization(matrix)
-        self._cond = factor.condition_estimate
+        self._note(factor)
         self._raw = factor.raw_solver()
 
         def run(b: np.ndarray):
@@ -551,7 +627,7 @@ class ResilientFactorization:
             col[col == 0.0] = 1.0
             scaled = scaled / col[None, :]
         factor = Factorization(scaled)
-        self._cond = factor.condition_estimate
+        self._note(factor)
 
         def run(b: np.ndarray):
             y = factor.solve(np.asarray(b) / row)
@@ -579,7 +655,7 @@ class ResilientFactorization:
                 f"gmin rung: no diagonal shift in {GMIN_SHIFTS} "
                 "produced a factorable matrix"
             )
-        self._cond = factor.condition_estimate
+        self._note(factor)
         original = self._matrix
 
         def run(b: np.ndarray):
@@ -625,7 +701,7 @@ class ResilientFactorization:
         gram = a.conj().T @ a
         lam = 1e-12 * max(float(np.abs(np.diagonal(gram)).max(initial=0.0)), 1e-300)
         factor = Factorization(gram + lam * np.eye(a.shape[0], dtype=gram.dtype))
-        self._cond = factor.condition_estimate
+        self._note(factor)
 
         def run(b: np.ndarray):
             x = factor.solve(a.conj().T @ np.asarray(b))
@@ -647,6 +723,11 @@ class ResilientFactorization:
     def rung(self) -> str:
         """The rung currently in charge."""
         return self._rungs[min(self._rung_index, len(self._rungs) - 1)]
+
+    @property
+    def factor_nnz(self) -> int | None:
+        """Stored entries of the factor in charge; None before factoring."""
+        return self._nnz
 
     def _attach_once(self) -> None:
         if not self._attached:
@@ -671,6 +752,7 @@ class ResilientFactorization:
         self._solver = None
         self._raw = None
         self._cond = None
+        self._nnz = None
         self._ok_recorded = False
 
     def _accept(self, residual: float | None) -> None:

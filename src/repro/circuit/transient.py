@@ -8,9 +8,14 @@ trapezoidal rule would ring forever on them).
 Circuits with nonlinear devices run damped Newton per step.  Linear
 circuits step in **blocks**, one per checkpoint interval (the whole run
 without a checkpoint): the companion matrix ``alpha C + G`` is factored
-once per step size through the escalation chain, every source is
-sampled once over the time grid, and each step is one product plus the
-accepted LU's raw solve.  A block checks finiteness once at its end.
+once per step size through the escalation chain, and every source is
+sampled once over the time grid.  G and C are multiplied and factored
+dense or sparse as :func:`~repro.circuit.linalg.solve_matrices` gives
+them.  In a dense system, a step kind (backward Euler or trapezoidal)
+that the run takes at least as many times as there are unknowns steps
+as a precomputed linear map ``x <- P x + f_k`` (:func:`_propagates`);
+every other step is one product plus the accepted LU's raw solve.  A
+block checks finiteness once at its end.
 
 A block that comes out non-finite, fails its factors' ``vouch``, or
 whose factor is on a rung other than direct LU, re-runs from its start
@@ -38,15 +43,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.circuit.dc import ConvergenceError, dc_operating_point
+from repro.circuit.dc import ConvergenceError, dc_operating_point, linear_dc
 from repro.circuit.linalg import (
     OperatorSystem,
     ResilientFactorization,
     SingularCircuitError,
     SweepAssembler,
+    solve_matrices,
 )
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import Circuit
+from repro.circuit.waveforms import sample
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.cache import FACTOR_CACHE_SIZE, LRUCache, quantize_alpha
@@ -157,31 +164,38 @@ def _embedded_deck(system: MNASystem, t_stop: float) -> str | None:
     return text
 
 
-#: The step product reads G and C from CSR when their stored entries,
-#: plus this allowance for the two sparse calls' fixed cost, are at most
-#: an eighth of n^2 (see :func:`_product_format`).
-_CSR_PRODUCT_ALLOWANCE = 4096
+#: Forcing rows the propagator forms per product: its scratch beyond the
+#: recorded data stays at this many states.
+_FORCING_ROWS = 256
 
 
 def _product_format(g_matrix, c_matrix) -> str:
-    """Format of the matrices that form each step's ``alpha C x - G x``.
+    """Format of the matrices that form and factor each step, as
+    :func:`~repro.circuit.linalg.solve_matrices` chose it.
 
-    ``"csr"`` when G and C together store few entries relative to n^2,
-    ``"dense"`` otherwise; an operator-backed C applies itself
-    (``"operator"``).  A dense product touches all n^2 entries of each
-    matrix, a CSR one only the stored entries, at several times the cost
-    per entry plus a fixed call overhead: the dense form wins for small
-    or filled systems, CSR for large sparse ones.
+    ``"operator"`` when an operator-backed C applies itself, ``"csr"``
+    for sparse G and C, ``"dense"`` otherwise.
     """
     from repro.circuit.operator import OperatorStampedMatrix
 
     if isinstance(c_matrix, OperatorStampedMatrix):
         return "operator"
-    if sp.issparse(g_matrix):
-        return "csr"
-    n = g_matrix.shape[0]
-    stored = np.count_nonzero(g_matrix) + np.count_nonzero(c_matrix)
-    return "csr" if 8 * (stored + _CSR_PRODUCT_ALLOWANCE) <= n * n else "dense"
+    return "csr" if sp.issparse(g_matrix) else "dense"
+
+
+def _propagates(product: str, steps: int, size: int) -> bool:
+    """Whether ``steps`` steps of one kind (backward Euler or
+    trapezoidal) advance as the linear map ``x <- P x + f_k``.
+
+    Building that kind's ``P`` costs ``size`` right-hand sides through
+    its LU, about what ``size`` LU steps cost; each step after that is
+    one dense n^2 product instead of two products and a solve.  So the
+    map pays once the run takes at least as many steps of the kind as
+    there are unknowns: the two backward-Euler steps that start a
+    trapezoidal run never do.  ``P`` is dense, so sparse systems keep
+    the LU.
+    """
+    return product == "dense" and steps >= size
 
 
 def _source_samples(
@@ -189,7 +203,8 @@ def _source_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``b(t)`` over the whole time grid, on the rows the sources touch.
 
-    Every waveform is evaluated once per time point, and the rows are
+    Every waveform is sampled once over the grid
+    (:func:`~repro.circuit.waveforms.sample`), and the rows are
     accumulated in :meth:`MNASystem.rhs`'s order with its operations, so
     a ``b`` rebuilt from them is bit-identical to ``system.rhs(t)``.
 
@@ -200,19 +215,15 @@ def _source_samples(
     circuit = system.circuit
     ni = circuit.node_index
     acc: dict[int, np.ndarray] = {}
-
-    def sample(waveform) -> np.ndarray:
-        return np.array([waveform(t) for t in times], dtype=float)
-
     for src in circuit.isources:
-        current = sample(src.waveform)
+        current = sample(src.waveform, times)
         a, c = ni(src.n_plus), ni(src.n_minus)
         if a >= 0:
             acc[a] = acc.get(a, 0.0) - current
         if c >= 0:
             acc[c] = acc.get(c, 0.0) + current
     for src in circuit.vsources:
-        acc[system.branch_index(src.name)] = -sample(src.waveform)
+        acc[system.branch_index(src.name)] = -sample(src.waveform, times)
     rows = np.array(sorted(acc), dtype=np.intp)
     values = np.zeros((len(times), rows.size))
     for j, row in enumerate(rows):
@@ -246,48 +257,104 @@ def _step_kinds(method: str, k0: int, k1: int):
 class _BlockStepper:
     """Raw-solve stepping of a linear circuit between checkpoints.
 
-    Holds what every block of one run shares: the step-product matrices
-    in the format :func:`_product_format` picks, and the source values
-    of :func:`_source_samples`.  Each step evaluates :func:`_step_rhs`,
-    as the per-step path does, so on dense products the states are
-    bit-identical to that path's.
+    Holds what every block of one run shares: the step-product matrices,
+    the source values of :func:`_source_samples`, and the linear map of
+    each step kind that :func:`_propagates` over the run's ``kinds``.
+    Steps of any other kind evaluate :func:`_step_rhs`, as the per-step
+    path does, so on dense products their states are bit-identical to
+    that path's.
     """
 
-    def __init__(self, system, g_matrix, c_matrix, times, indices) -> None:
+    def __init__(self, system, g_matrix, c_matrix, times, indices,
+                 kinds) -> None:
         self.product = _product_format(g_matrix, c_matrix)
-        if self.product == "csr" and not sp.issparse(g_matrix):
-            g_matrix = sp.csr_matrix(g_matrix)
-            c_matrix = sp.csr_matrix(c_matrix)
+        steps: dict[bool, int] = {}
+        for first, stop, use_be in kinds:
+            steps[use_be] = steps.get(use_be, 0) + stop - first
+        #: The step kinds (``use_be``) that advance by the linear map.
+        self.mapped = frozenset(
+            use_be for use_be, count in steps.items()
+            if _propagates(self.product, count, system.size)
+        )
         self._g = g_matrix
         self._c = c_matrix
         self._size = system.size
         self._rows, self._values = _source_samples(system, times)
         self._indices = np.asarray(indices, dtype=np.intp)
+        # use_be -> (raw solve, P, Q): one map per companion factor,
+        # rebuilt only when the factor in charge changes.
+        self._maps: dict[bool, tuple] = {}
 
-    def run(self, x, k0, segments, out) -> np.ndarray:
-        """Step ``x`` through ``segments`` from step ``k0``.
+    def _map(self, alpha, use_be, solve) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, Q)`` of one companion factor, from its raw solve.
+
+        ``P = A^-1 (alpha C - G)`` (``A^-1 alpha C`` for backward Euler)
+        and ``Q``, the columns of ``A^-1`` at the ``r`` source rows, from
+        one solve of ``n + r`` right-hand sides: a factor-solve, never an
+        explicit inverse.
+        """
+        entry = self._maps.get(use_be)
+        if entry is None or entry[0] is not solve:
+            n, rows = self._size, self._rows
+            rhs = np.zeros((n, n + rows.size), order="F")
+            rhs[:, :n] = alpha * self._c
+            if not use_be:
+                rhs[:, :n] -= self._g
+            rhs[rows, n + np.arange(rows.size)] = 1.0
+            maps = solve(rhs)
+            entry = (solve, maps[:, :n].copy(), maps[:, n:].copy())
+            self._maps[use_be] = entry
+        return entry[1], entry[2]
+
+    def run(self, x, segments, out) -> np.ndarray:
+        """Step ``x`` through ``segments``.
 
         Args:
-            x: State at step ``k0``.
+            x: State at the first segment's first step.
             segments: ``(first, stop, alpha, use_be, solve)`` runs of
                 steps sharing one companion solve, in order.
-            out: Recorded trajectories; rows ``k0 + 1 ..`` are written.
+            out: Recorded trajectories; rows ``first + 1 ..`` are written.
 
         Returns:
             The state after the last step, unchecked.
         """
+        for segment in segments:
+            use_be = segment[3]
+            step = self._propagate if use_be in self.mapped else self._solve
+            x = step(x, *segment, out)
+        return x
+
+    def _solve(self, x, first, stop, alpha, use_be, solve, out):
+        """Steps ``first .. stop`` as :func:`_step_rhs` and a raw solve."""
         g, c, idx = self._g, self._c, self._indices
         rows, values, n = self._rows, self._values, self._size
         b_old = np.zeros(n)
-        b_old[rows] = values[k0]
-        for first, stop, alpha, use_be, solve in segments:
-            for k in range(first, stop):
-                b_new = np.zeros(n)
-                b_new[rows] = values[k + 1]
-                x = solve(_step_rhs(g, c, x, b_old, b_new, alpha, use_be))
-                out[k + 1] = x[idx]
-                b_old = b_new
+        b_old[rows] = values[first]
+        for k in range(first, stop):
+            b_new = np.zeros(n)
+            b_new[rows] = values[k + 1]
+            x = solve(_step_rhs(g, c, x, b_old, b_new, alpha, use_be))
+            out[k + 1] = x[idx]
+            b_old = b_new
         return x
+
+    def _propagate(self, x, first, stop, alpha, use_be, solve, out):
+        """Steps ``first .. stop`` as ``x <- P x + F[k]``, the forcing
+        ``F`` formed from the source samples :data:`_FORCING_ROWS` steps
+        at a time."""
+        p_map, q_map = self._map(alpha, use_be, solve)
+        values, idx = self._values, self._indices
+        for start in range(first, stop, _FORCING_ROWS):
+            end = min(start + _FORCING_ROWS, stop)
+            b = values[start + 1 : end + 1]
+            if not use_be:
+                b = values[start:end] + b
+            states = b @ q_map.T
+            for row in states:  # each row turns from f_k into x_k+1
+                row += p_map @ x
+                x = row
+            out[start + 1 : end + 1] = states[:, idx]
+        return x.copy()
 
 
 def transient_analysis(
@@ -343,6 +410,8 @@ def transient_analysis(
     if report is None:
         report = RunReport()
     g_matrix, c_matrix = system.build_matrices()
+    if not system.has_devices:
+        g_matrix, c_matrix = solve_matrices(g_matrix, c_matrix)
     sparse = sp.issparse(g_matrix)
 
     num_steps = int(round(t_stop / dt))
@@ -375,7 +444,10 @@ def transient_analysis(
     if x is None:
         if x0 is None:
             with activate(report):
-                x = dc_operating_point(system, t=0.0, policy=policy)
+                if system.has_devices:
+                    x = dc_operating_point(system, t=0.0, policy=policy)
+                else:
+                    x = linear_dc(system, g_matrix, 0.0, policy=policy)
         elif isinstance(x0, str) and x0 == "zero":
             x = np.zeros(system.size)
         else:
@@ -436,7 +508,9 @@ def transient_analysis(
                     assembler.at_alpha(alpha), site="transient", policy=policy
                 )
                 factor.direct_solver()
-                factor_span.attrs["rung"] = factor.rung
+                factor_span.attrs.update(
+                    rung=factor.rung, factor_nnz=factor.factor_nnz
+                )
             factor_cache.put(key, factor)
         rung_used = factor.rung
         return factor
@@ -522,13 +596,14 @@ def transient_analysis(
             b_prev = b_next
 
     def step_block(stepper: _BlockStepper, k0: int, k1: int) -> bool:
-        """Steps ``k0 .. k1`` with raw solves; False leaves ``x`` as it was.
+        """Steps ``k0 .. k1`` with raw solves or the propagator; False
+        leaves ``x`` as it was.
 
         One finiteness check per block; the companion factors go through
         the escalation chain, and any rung but direct LU makes the block
         fall back.
         """
-        nonlocal x
+        nonlocal x, propagated
         segments, factors = [], []
         for first, stop, use_be in _step_kinds(method, k0, k1):
             alpha = (1.0 / dt) if use_be else (2.0 / dt)
@@ -538,7 +613,7 @@ def transient_analysis(
                 return False
             segments.append((first, stop, alpha, use_be, solve))
             factors.append(factor)
-        x_end = stepper.run(x, k0, segments, data)
+        x_end = stepper.run(x, segments, data)
         if not (
             np.all(np.isfinite(x_end))
             and np.all(np.isfinite(data[k0 + 1 : k1 + 1]))
@@ -548,9 +623,13 @@ def transient_analysis(
             return False
         x = x_end
         steps_counter.inc(k1 - k0)
+        propagated += sum(
+            stop - first for first, stop, _, use_be, _ in segments
+            if use_be in stepper.mapped
+        )
         return True
 
-    blocks = replayed = 0
+    blocks = replayed = propagated = 0
     with activate(report), span(
         "circuit.transient",
         size=system.size,
@@ -559,7 +638,8 @@ def transient_analysis(
         sparse=sparse,
     ) as transient_span:
         stepper = None if system.has_devices else _BlockStepper(
-            system, g_matrix, c_matrix, times, indices
+            system, g_matrix, c_matrix, times, indices,
+            _step_kinds(method, start_step, num_steps),
         )
         try:
             k = start_step
@@ -582,7 +662,7 @@ def transient_analysis(
         finally:
             transient_span.attrs.update(
                 path="per-step" if stepper is None else "block",
-                blocks=blocks, replayed=replayed,
+                blocks=blocks, replayed=replayed, propagated=propagated,
             )
             if stepper is not None:
                 transient_span.attrs["product"] = stepper.product

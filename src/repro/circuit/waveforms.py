@@ -5,13 +5,34 @@ Every independent source carries a waveform object: a callable mapping time
 paper's experiments need -- DC rails, clock edges (:class:`Pulse`,
 :class:`Ramp`), piecewise-linear background-activity profiles (:class:`PWL`)
 and sinusoids for AC sanity checks.
+
+:func:`sample` evaluates a waveform over a whole time grid at once.  The
+shapes with a ``sample(times)`` method repeat their scalar arithmetic
+operation for operation, so the samples are bit-identical to calling the
+waveform once per point.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+
+def sample(waveform, times) -> np.ndarray:
+    """``waveform`` at every point of ``times``, as a float array.
+
+    Uses the waveform's own ``sample(times)`` when it has one; any other
+    callable (a :class:`SineWave`, whose ``np.sin`` could differ from
+    ``math.sin`` in the last ulp, or a plain function) is called once per
+    point.
+    """
+    vectorized = getattr(waveform, "sample", None)
+    if vectorized is not None:
+        return vectorized(times)
+    return np.array([waveform(t) for t in times], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -22,6 +43,9 @@ class DC:
 
     def __call__(self, t: float) -> float:
         return self.value
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -48,6 +72,15 @@ class Ramp:
             return self.v1
         frac = (t - self.delay) / self.rise_time
         return self.v0 + (self.v1 - self.v0) * frac
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        frac = (t - self.delay) / self.rise_time
+        ramp = self.v0 + (self.v1 - self.v0) * frac
+        return np.where(
+            t <= self.delay, float(self.v0),
+            np.where(t >= self.delay + self.rise_time, float(self.v1), ramp),
+        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +131,22 @@ class Pulse:
             return self.v1 + (self.v0 - self.v1) * t_rel / self.fall_time
         return self.v0
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        t_rise = t - self.delay
+        if self.period > 0:
+            t_rise = np.remainder(t_rise, self.period)
+        t_high = t_rise - self.rise_time
+        t_fall = t_high - self.width
+        rise = self.v0 + (self.v1 - self.v0) * t_rise / self.rise_time
+        fall = self.v1 + (self.v0 - self.v1) * t_fall / self.fall_time
+        return np.select(
+            [t <= self.delay, t_rise < self.rise_time,
+             t_high < self.width, t_fall < self.fall_time],
+            [float(self.v0), rise, float(self.v1), fall],
+            default=float(self.v0),
+        )
+
 
 @dataclass(frozen=True)
 class PWL:
@@ -137,6 +186,21 @@ class PWL:
         t0, v0 = self.points[i - 1]
         t1, v1 = self.points[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        first, last = self.points[0][1], self.points[-1][1]
+        if len(self.points) == 1:
+            return np.full(t.shape, first)
+        knots = np.asarray(self._times)
+        values = np.array([p[1] for p in self.points])
+        i = np.clip(np.searchsorted(knots, t, side="right"), 1, knots.size - 1)
+        t0, v0 = knots[i - 1], values[i - 1]
+        t1, v1 = knots[i], values[i]
+        inside = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return np.where(
+            t <= knots[0], first, np.where(t >= knots[-1], last, inside)
+        )
 
 
 @dataclass(frozen=True)

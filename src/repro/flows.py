@@ -26,7 +26,7 @@ from repro.analysis.metrics import delay_50, skew
 from repro.circuit.devices import CMOSInverter
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import TransientResult, transient_analysis
-from repro.circuit.waveforms import Ramp
+from repro.circuit.waveforms import Ramp, sample
 from repro.extraction.capacitance import CapacitanceModel
 from repro.extraction.resistance import segment_resistance
 from repro.geometry.clocktree import (
@@ -211,8 +211,7 @@ def _measure(
     times: np.ndarray,
     waveforms: dict[str, np.ndarray],
 ) -> tuple[dict[str, float], float, float]:
-    ramp = case.input_ramp
-    v_in = np.array([ramp(t) for t in times])
+    v_in = sample(case.input_ramp, times)
     delays = {
         name: delay_50(times, v_in, wave, case.vdd)
         for name, wave in waveforms.items()

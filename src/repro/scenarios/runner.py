@@ -23,18 +23,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.metrics import delay_50, overshoot
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
-from repro.circuit.waveforms import Ramp
+from repro.circuit.waveforms import Ramp, sample
 from repro.extraction.partial_matrix import extract_partial_inductance
 from repro.geometry.segment import Direction
 from repro.loop.extractor import extract_loop_impedance
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.resilience.faults import InjectedFault
 from repro.resilience.report import RunReport, activate
 from repro.scenarios.spec import SPARSIFIER_FACTORIES, Scenario
 from repro.scenarios.variants import build_variant
@@ -70,8 +67,6 @@ def _sparsify_metrics(sc: Scenario, layout, report: RunReport) -> dict:
     metrics: dict = {"sparsify_mutuals_total": int(extraction.num_mutuals)}
     try:
         blocks = traced_apply(sparsifier, extraction)
-    except InjectedFault:
-        raise
     except (ValueError, RuntimeError) as exc:
         # A refused matrix (truncation guard, K-matrix passivity check,
         # a halo/shell/K-matrix result that lost positive definiteness)
@@ -90,20 +85,29 @@ def _sparsify_metrics(sc: Scenario, layout, report: RunReport) -> dict:
     return metrics
 
 
-def _transient_metrics(sc: Scenario, z: complex) -> dict:
-    """Loaded-driver transient over the extracted loop R/L."""
-    omega = 2.0 * math.pi * sc.frequency
-    r_loop = max(float(z.real), 1e-6)
-    l_loop = max(float(z.imag) / omega, 1e-18)
+def _scenario_circuit(
+    sc: Scenario, r_loop: float, l_loop: float
+) -> tuple[Circuit, Ramp]:
+    """The scenario's circuit (source, loop R/L, receiver load) and its
+    input ramp."""
     circuit = Circuit("scenario")
     ramp = Ramp(0.0, sc.vdd, 50e-12, sc.rise_time)
     circuit.add_vsource("Vin", "vin", GROUND, ramp)
     circuit.add_resistor("Rdrv", "vin", "drv", sc.driver_resistance)
     circuit.add_series_rl("loop", "drv", "rcv", r_loop, l_loop)
     circuit.add_capacitor("Cload", "rcv", GROUND, sc.load_capacitance)
+    return circuit, ramp
+
+
+def _transient_metrics(sc: Scenario, z: complex) -> dict:
+    """Transient of the scenario circuit over the extracted loop R/L."""
+    omega = 2.0 * math.pi * sc.frequency
+    r_loop = max(float(z.real), 1e-6)
+    l_loop = max(float(z.imag) / omega, 1e-18)
+    circuit, ramp = _scenario_circuit(sc, r_loop, l_loop)
     result = transient_analysis(circuit, sc.t_stop, sc.dt, record=["rcv"])
     v_out = result.voltage("rcv")
-    v_in = np.array([ramp(t) for t in result.times])
+    v_in = sample(ramp, result.times)
     return {
         "loop_resistance": r_loop,
         "loop_inductance": l_loop,

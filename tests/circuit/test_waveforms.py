@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.waveforms import DC, PWL, Pulse, Ramp, SineWave
+from repro.circuit.waveforms import DC, PWL, Pulse, Ramp, SineWave, sample
 
 
 class TestDC:
@@ -125,3 +126,39 @@ class TestSine:
     def test_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
             SineWave(0, 1, 0.0)
+
+
+def _grid(*events):
+    """A step grid plus every event time, and points before and after."""
+    steps = np.arange(-5, 400) * 1.7e-12
+    return np.concatenate([steps, np.asarray(events, dtype=float),
+                           [-1e-9, 1e-6]])
+
+
+class TestSample:
+    """``sample(times)`` repeats the scalar arithmetic: bit-identical."""
+
+    @pytest.mark.parametrize("waveform, events", [
+        (DC(3.3), ()),
+        (Ramp(0.0, 1.2, 50e-12, 40e-12), (50e-12, 90e-12)),
+        (Ramp(1, 0, 0.0, 7e-12), (0.0, 7e-12)),
+        (Pulse(0.1, 1.2, 20e-12, 5e-12, 7e-12, 30e-12),
+         (20e-12, 25e-12, 55e-12, 62e-12)),
+        (Pulse(0.0, 1.0, 3e-12, 5e-12, 7e-12, 20e-12, 45e-12),
+         (3e-12, 8e-12, 28e-12, 35e-12, 48e-12, 93e-12, 138e-12)),
+        (PWL(((0.0, 0.0), (0.1e-9, 1e-3), (0.25e-9, -2e-3),
+              (0.4e-9, 0.5e-3))), (0.0, 0.1e-9, 0.25e-9, 0.4e-9)),
+        (PWL(((0.2e-9, 1.5),)), (0.2e-9,)),
+    ])
+    def test_matches_per_point_calls(self, waveform, events):
+        times = _grid(*events)
+        expected = np.array([waveform(t) for t in times], dtype=float)
+        assert sample(waveform, times).tobytes() == expected.tobytes()
+
+    def test_waveforms_without_a_method_go_point_by_point(self):
+        times = _grid(0.3e-9)
+        for waveform in (SineWave(0.5, 1.0, 2e9, 0.1e-9),
+                         lambda t: 2.0 * t + 1.0):
+            assert not hasattr(waveform, "sample")
+            expected = np.array([waveform(t) for t in times])
+            assert sample(waveform, times).tobytes() == expected.tobytes()

@@ -86,19 +86,6 @@ class TestEvaluateScenario:
         assert downgrades
         assert "positive definiteness" in downgrades[0]["detail"]
 
-    def test_injected_fault_in_sparsifier_still_fails(self, monkeypatch):
-        from repro.resilience.faults import InjectedFault
-
-        def inject(sparsifier, extraction):
-            raise InjectedFault("injected at sparsify")
-
-        monkeypatch.setattr(runner_mod, "traced_apply", inject)
-        sc = Scenario(variant="baseline", sparsifier="truncation", **CHEAP)
-        with inject_faults():
-            record = evaluate_scenario(sc)
-        assert record["status"] == "failed"
-        assert "injected at sparsify" in record["error"]
-
     def test_loop_values_match_direct_extraction(self):
         from repro.loop.extractor import extract_loop_impedance
         from repro.scenarios.runner import MAX_SEGMENT_LENGTH
