@@ -11,7 +11,11 @@ near-field factors of the hierarchical loop sweep set up in 0.14-0.16 s
 on one thread against 0.14-0.24 s on two.  The program's dense factors
 have at most about a thousand unknowns, where a second thread saves at
 most a third, and its sweeps get their parallelism from the process
-pool; so every LU factor runs inside :func:`one_blas_thread`.
+pool; so every LU factor runs inside :func:`one_blas_thread`.  So do the
+Krylov rung's GMRES iterations, whose Arnoldi products and
+preconditioner solves call the same BLAS: with two threads the first
+GMRES solve of the hierarchical loop sweep took up to 1.1 s instead of
+0.2 s for the same 18 iterations.
 
 OpenBLAS has no Python API for its thread count.  The context calls the
 library's own ``openblas_get/set_num_threads`` entries (``scipy_``

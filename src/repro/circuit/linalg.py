@@ -6,7 +6,8 @@ matrix format :meth:`MNASystem.build_matrices` chose.  Every sparse LU
 in the program is :func:`sparse_lu`, and :func:`sparse_pays` is the one
 rule that sends a dense-built linear system to it
 (:func:`solve_matrices`).  Every LU factor, dense or sparse, runs on one
-BLAS thread (:func:`~repro.circuit.blas.one_blas_thread`).
+BLAS thread (:func:`~repro.circuit.blas.one_blas_thread`), and so do
+the Krylov rung's GMRES iterations.
 
 On top of the raw :class:`Factorization` sits the solver **escalation
 chain** (:class:`ResilientFactorization`): direct LU, then equilibrated
@@ -21,11 +22,8 @@ accept a solution whose residual against the *original* matrix passes
 inconsistent system still raises :class:`SingularCircuitError` no
 matter how far the chain runs.
 
-Three further pieces serve the sweep engines:
+Two further pieces serve the sweep engines:
 
-* **static condensation** (:func:`condense`): unknowns with a diagonal
-  G block and no C entries are eliminated once per sweep, so every
-  point factors only the remaining system;
 * the **matrix-free Krylov tier**: an :class:`OperatorSystem` wraps
   ``A = G + sigma C`` as a matvec plus a sparse near-field surrogate of
   ``A``; handing one to :class:`ResilientFactorization` prepends a
@@ -252,46 +250,6 @@ def add_gmin(g_matrix, num_nodes: int, gmin: float):
     idx = np.arange(num_nodes)
     g[idx, idx] += gmin
     return g
-
-
-def condense(
-    g_matrix: np.ndarray, c_matrix: np.ndarray, internal
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statically condense unknowns out of a dense ``G + s C`` system.
-
-    The ``internal`` unknowns must have a diagonal, nonsingular block D
-    of G and empty rows and columns in C (the series nodes of
-    :meth:`~repro.circuit.mna.MNASystem.series_nodes`).  Their Schur
-    correction ``G_BB - G_BI D^-1 G_IB`` then does not depend on ``s``,
-    so for every ``s`` and every right-hand side with ``b_I = 0`` the
-    remaining unknowns solve ``(G' + s C_BB) x_B = b_B`` exactly.
-
-    Returns:
-        ``(G', C_BB, keep)`` where ``keep`` holds the sorted indices of
-        the remaining unknowns in the full system.
-    """
-    internal = np.asarray(internal, dtype=np.intp)
-    mask = np.ones(g_matrix.shape[0], dtype=bool)
-    mask[internal] = False
-    keep = np.flatnonzero(mask)
-    if internal.size == 0:
-        return g_matrix, c_matrix, keep
-    d = g_matrix[internal, internal]
-    if (
-        np.count_nonzero(g_matrix[np.ix_(internal, internal)])
-        != internal.size or not np.all(d != 0.0)
-    ):
-        raise ValueError(
-            "condensed unknowns need a nonsingular diagonal G block"
-        )
-    if np.any(c_matrix[internal]) or np.any(c_matrix[:, internal]):
-        raise ValueError("condensed unknowns must have no C entries")
-    # G_BI has a few entries per column (a resistor end, a branch row):
-    # as sparse, the product costs O(nnz * |keep|), not a dense GEMM.
-    g_bi = sp.csr_matrix(g_matrix[np.ix_(keep, internal)] / d)
-    g_ib = g_matrix[np.ix_(internal, keep)]
-    g_bb = g_matrix[np.ix_(keep, keep)] - g_bi @ g_ib
-    return g_bb, c_matrix[np.ix_(keep, keep)], keep
 
 
 def _max_abs(matrix) -> float:
@@ -565,7 +523,11 @@ class ResilientFactorization:
                 iters[0] += 1
 
             obs_metrics.counter("solver.krylov_solves").inc()
-            with span("solver.krylov.gmres") as gmres_span:
+            # The Arnoldi products and preconditioner solves run on one
+            # BLAS thread too: with two threads, GMRES on the loop sweep
+            # took up to 6x as long for the same iterations.
+            with span("solver.krylov.gmres") as gmres_span, \
+                    one_blas_thread():
                 x = None
                 error = np.inf
                 info = 0
@@ -723,6 +685,11 @@ class ResilientFactorization:
     def rung(self) -> str:
         """The rung currently in charge."""
         return self._rungs[min(self._rung_index, len(self._rungs) - 1)]
+
+    @property
+    def exhausted(self) -> bool:
+        """True once every rung has failed: the chain can solve nothing."""
+        return self._rung_index >= len(self._rungs)
 
     @property
     def factor_nnz(self) -> int | None:

@@ -496,10 +496,12 @@ def transient_analysis(
         nonlocal rung_used
         key = quantize_alpha(alpha)
         factor = factor_cache.get(key)
-        if factor is None:
+        if factor is None or factor.exhausted:
             # The union pattern / operator wrapper is shared across all
             # alphas; the factorization (splu or the Krylov rung's
-            # preconditioner factor) is cached per quantized alpha.
+            # preconditioner factor) is cached per quantized alpha.  A
+            # chain whose every rung failed is rebuilt, not kept: one
+            # bad solve must not fail every later step at this alpha.
             with span(
                 "circuit.transient.factor", size=system.size,
                 format=assembler.mode, alpha=float(alpha), serves=serves,

@@ -24,8 +24,8 @@ over SPICE decks and/or the circuits built by Python scripts, exiting
 non-zero on error-severity findings.  ``analyze`` runs the project-wide
 dataflow lint (:mod:`repro.qa.analyze`): the QA101-QA107 syntax rules
 plus the QA201-QA207 semantic rules, with a ``--baseline`` ratchet so
-only *new* findings fail the gate.  ``resume`` picks a crashed transient or loop
-sweep back up from its checkpoint file (see :mod:`repro.resilience`).
+only *new* findings fail the gate.  ``resume`` picks a crashed transient
+back up from its checkpoint file (see :mod:`repro.resilience`).
 ``sweep`` runs a declarative scenario grid (design variant x
 geometry x sparsifier, see :mod:`repro.scenarios`) sharded over a
 process pool with per-scenario checkpointing and cross-run resume.  ``trace`` runs a small PEEC flow under the :mod:`repro.obs`
@@ -230,28 +230,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
                     args.out,
                     np.column_stack([result.times, result.data]),
                     delimiter=",", header=header, comments="",
-                )
-                print(f"wrote {args.out}")
-        elif kind == "loop-sweep":
-            freqs, z = rz.resume_loop(args.path, keep=args.keep)
-            from repro.analysis.report import format_table
-
-            omega = 2.0 * np.pi * freqs
-            with np.errstate(divide="ignore", invalid="ignore"):
-                l = np.where(omega > 0.0, z.imag / omega, np.nan)
-            rows = [
-                [f"{f:.2e}", f"{zv.real:.4f}", f"{lv * 1e9:.4f}"]
-                for f, zv, lv in zip(freqs, z, l)
-            ]
-            print(format_table(
-                ["frequency [Hz]", "R [ohm]", "L [nH]"], rows,
-                title="resumed loop sweep",
-            ))
-            if args.out:
-                np.savetxt(
-                    args.out,
-                    np.column_stack([freqs, z.real, z.imag]),
-                    delimiter=",", header="frequency,re_z,im_z", comments="",
                 )
                 print(f"wrote {args.out}")
         else:

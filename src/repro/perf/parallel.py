@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from repro.resilience.supervisor import (
     SupervisorConfig, supervised_map, worker_count,
 )
 
-#: Below this many MNA unknowns, fork + pickle overhead beats the solves;
+#: Below this many unknowns, fork + pickle overhead beats the solves;
 #: implicit (CPU-count) parallelism stays serial for smaller systems.
 MIN_PARALLEL_SIZE = 200
 
@@ -70,9 +69,9 @@ def explicit_workers(requested: int | None = None) -> bool:
 
 
 def sweep_workers(requested: int | None, size: int) -> int:
-    """Pool width for a sweep over an MNA system of ``size`` unknowns.
+    """Pool width for a sweep over a system of ``size`` unknowns.
 
-    ``size`` is the MNA size before any condensation.  The implicit
+    ``size`` is the number of unknowns each point solves.  The implicit
     CPU-count default fans out only from :data:`MIN_PARALLEL_SIZE`
     unknowns; an explicit request always wins.
     """
@@ -149,11 +148,9 @@ def parallel_sweep(
     spec: SweepSpec,
     freqs: np.ndarray,
     out: np.ndarray,
-    indices: np.ndarray | None = None,
     workers: int | None = None,
     chunk: int | None = None,
     report: RunReport | None = None,
-    on_done: Callable[[int], None] | None = None,
     config: SupervisorConfig | None = None,
 ) -> np.ndarray:
     """Solve sweep points at any pool width, filling ``out`` by index.
@@ -162,10 +159,7 @@ def parallel_sweep(
         spec: The assembled system and solve configuration.
         freqs: Full frequency grid [Hz].
         out: Output array to fill in place -- shape ``(len(freqs),)`` for
-            port sweeps, ``(len(freqs), size)`` for full sweeps.  Only
-            rows in ``indices`` are written.
-        indices: Point indices still to solve (checkpoint resume skips
-            completed ones); default all.
+            port sweeps, ``(len(freqs), size)`` for full sweeps.
         workers: Worker count (see
             :func:`~repro.resilience.supervisor.worker_count`); 1 solves
             in process.
@@ -173,30 +167,22 @@ def parallel_sweep(
         report: Run report receiving escalated solves (from workers too),
             supervision events (timeouts, restarts, quarantines) and the
             downgrade record if the pool cannot be created.
-        on_done: Called with each completed point's index *after* its
-            result is stored in ``out`` -- the checkpoint hook.
-            Quarantined points pass through it too (their rows are NaN),
-            so the checkpoint stream stays complete.
         config: Supervision knobs; default
             :meth:`SupervisorConfig.from_env`.
 
     Returns:
         ``out``.  If a point fails on every escalation rung, the
-        exception propagates after every point completed before it has
-        been stored and reported via ``on_done`` (so an emergency
-        checkpoint sees every finished point).  Process-level failures
-        -- hung or killed workers, worker ``MemoryError`` -- do *not*
-        propagate: the supervisor reissues the work and, as a last
-        resort, quarantines the offending point as a NaN row.
+        exception propagates.  Process-level failures -- hung or killed
+        workers, worker ``MemoryError`` -- do *not* propagate: the
+        supervisor reissues the work and, as a last resort, quarantines
+        the offending point as a NaN row.
     """
     def store(i: int, row) -> None:
         out[i] = row
-        if on_done is not None:
-            on_done(i)
 
     supervised_map(
         partial(_solve_point, spec, freqs),
-        np.arange(len(freqs)) if indices is None else indices,
+        np.arange(len(freqs)),
         stage="perf",
         on_done=store,
         quarantine=lambda i, reason: store(i, np.nan * (1.0 + 1.0j)),

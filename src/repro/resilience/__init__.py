@@ -18,7 +18,7 @@ same way.
 * :mod:`~repro.resilience.faults` -- seeded fault injection into named
   solve sites (``REPRO_FAULTS=chaos-<seed>`` for CI chaos runs).
 * :mod:`~repro.resilience.checkpoint` -- atomic ``.ckpt`` snapshots and
-  resume for transients and frequency sweeps (``repro resume``).
+  resume for transients (``repro resume``).
 * :mod:`~repro.resilience.degrade` -- sparsifier fallback chain
   (requested -> block-diagonal -> dense) with logged downgrades.
 * :mod:`~repro.resilience.supervisor` / :mod:`~repro.resilience.budget`

@@ -1,13 +1,11 @@
-"""On-disk checkpoints for long solves: crash, resume, continue.
+"""On-disk checkpoints for long transients: crash, resume, continue.
 
 A checkpoint is a single ``.ckpt`` file (numpy ``.npz`` container) with a
 JSON metadata record plus the numeric state needed to pick a run back up:
-for a transient, the last completed step and full state vector plus the
-recorded rows so far; for a loop-extraction frequency sweep, the
-per-frequency completion mask and partial impedances.  When the circuit
-is expressible in the SPICE subset, its deck text is embedded too, which
-is what lets ``repro resume <file>.ckpt`` rebuild and finish a run from
-nothing but the checkpoint.
+the last completed step and full state vector plus the recorded rows so
+far.  When the circuit is expressible in the SPICE subset, its deck text
+is embedded too, which is what lets ``repro resume <file>.ckpt`` rebuild
+and finish a run from nothing but the checkpoint.
 
 Writes are atomic (temp file + :func:`os.replace`), so a crash mid-write
 leaves the previous snapshot intact.  Compatibility between a checkpoint

@@ -136,12 +136,6 @@ def describe(path) -> str:
         )
         lines.append(f"  state size {fp.get('size', '?')}, "
                      f"{len(fp.get('columns', []))} recorded columns")
-    elif snap.kind == "loop-sweep":
-        done = np.asarray(snap.arrays.get("done", []), dtype=bool)
-        lines.append(
-            f"  {int(done.sum())}/{len(done)} frequencies solved "
-            f"({fp.get('f_min', '?')} .. {fp.get('f_max', '?')} Hz)"
-        )
     lines.append(
         "  resumable from CLI: "
         + ("yes (embedded deck)" if snap.meta.get("deck") else "no")
@@ -199,36 +193,4 @@ def resume_transient(path, keep: bool = False):
     )
 
 
-def resume_loop(path, keep: bool = False):
-    """Finish a checkpointed loop-extraction frequency sweep.
-
-    Returns:
-        ``(frequencies, impedance)`` arrays of the completed sweep.
-    """
-    from repro.loop.extractor import _sweep_impedance
-    from repro.resilience.policy import default_policy
-    from repro.resilience.report import RunReport
-
-    path = Path(path)
-    snap = load_checkpoint(path)
-    if snap.kind != "loop-sweep":
-        raise CheckpointMismatch(
-            f"{path}: expected a loop-sweep checkpoint, found {snap.kind!r}"
-        )
-    circuit = _rebuild_circuit(snap, path)
-    args = snap.meta["args"]
-    freqs = np.asarray(snap.arrays["frequencies"], dtype=float)
-    report = RunReport()
-    z = _sweep_impedance(
-        circuit,
-        freqs,
-        tuple(args["port"]),
-        float(args["gmin"]),
-        default_policy(),
-        CheckpointConfig(path=path, resume=True, keep=keep),
-        report,
-    )
-    return freqs, z
-
-
-__all__ = ["describe", "resume_transient", "resume_loop"]
+__all__ = ["describe", "resume_transient"]

@@ -7,7 +7,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.circuit import blas
-from repro.circuit.linalg import Factorization
+from repro.circuit.linalg import (
+    Factorization, OperatorSystem, ResilientFactorization,
+)
 
 
 @pytest.fixture
@@ -55,6 +57,33 @@ def test_lu_factors_run_on_one_thread(controls, monkeypatch, fmt):
     assert seen == [[1] * len(controls)]
     assert _counts(controls) == before
     assert np.allclose(a @ x, b, rtol=0, atol=1e-10)
+
+
+def test_gmres_runs_on_one_thread(controls, monkeypatch):
+    seen = []
+    gmres = scipy.sparse.linalg.gmres
+
+    def watched(*args, **kwargs):
+        seen.append(_counts(controls))
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", watched)
+    before = _counts(controls)
+    rng = np.random.default_rng(0)
+    n = 150
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+         ) / n + 4.0 * np.eye(n)
+    # The diagonal alone preconditions: GMRES has to iterate.
+    system = OperatorSystem(
+        matvec=lambda x: a @ x, precond=scipy.sparse.diags(np.diag(a)),
+        materialize=lambda: a, shape=a.shape, dtype=complex,
+    )
+    b = rng.standard_normal(n)
+    x = ResilientFactorization(system, site="test").solve(b)
+    assert seen and all(c == [1] * len(controls) for c in seen)
+    assert _counts(controls) == before
+    # GMRES stops at a 1e-9 relative residual.
+    assert np.allclose(a @ x, b, rtol=0, atol=1e-8)
 
 
 def test_without_openblas_the_context_changes_nothing(monkeypatch):

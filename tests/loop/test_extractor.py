@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.constants import MU0
+from repro.extraction.resistance import resistivity_of
 from repro.extraction.filaments import FilamentGrid
 from repro.extraction.inductance import (
     mutual_inductance_filaments,
@@ -183,9 +184,9 @@ class TestClosedForms:
     """The loop extractor against closed forms, on a two-wire line."""
 
     @staticmethod
-    def two_wire(length, width, spacing):
+    def line(length, width, spacing):
         """Signal and GND bars on M6, centers ``spacing`` apart, driven at
-        x = 0 and shorted at x = ``length``; L at 100 kHz."""
+        x = 0 and shorted at x = ``length``."""
         layout = Layout(default_layer_stack(6), name="two_wire")
         layout.add_net("sig", NetKind.SIGNAL)
         layout.add_net("GND", NetKind.GROUND)
@@ -198,6 +199,12 @@ class TestClosedForms:
             short_signal=TapPoint("sig", length, 0.0, "M6"),
             short_reference=TapPoint("GND", length, spacing, "M6"),
         )
+        return layout, port
+
+    @classmethod
+    def two_wire(cls, length, width, spacing):
+        """The line's L at 100 kHz, and the M6 thickness."""
+        layout, port = cls.line(length, width, spacing)
         result = extract_loop_impedance(layout, port, [1e5])
         return float(result.inductance[0]), layout.layer("M6").thickness
 
@@ -221,3 +228,22 @@ class TestClosedForms:
         gmd = 0.2235 * (width + thickness)
         grover = MU0 * length / math.pi * math.log(spacing / gmd)
         assert loop_l == pytest.approx(grover, rel=5e-3)
+
+    def test_skin_effect_slope_of_resistance(self):
+        # Once the skin depth is well under the thickness, the current
+        # crowds into a skin whose area falls as sqrt(f): R ~ f^0.5.
+        layout, port = self.line(100e-6, 1.2e-6, 6e-6)  # square bars, 5t
+        layer = layout.layer("M6")
+        t, rho = layer.thickness, resistivity_of(layer)
+
+        def at_depth(delta):
+            return rho / (math.pi * MU0 * delta * delta)
+
+        freqs = [at_depth(t / k) for k in (2, 4, 8)]
+        r = extract_loop_impedance(
+            layout, port, freqs, filaments=FilamentGrid(12, 12), workers=1,
+        ).resistance
+        onset, skin = np.diff(np.log(r)) / np.diff(np.log(freqs))
+        # 12 x 12 measured 0.233 then 0.436 (20 x 20: 0.445 at t/4..t/8).
+        assert 0.40 <= skin <= 0.55
+        assert skin > onset

@@ -321,6 +321,18 @@ class TestExtractionMemoization:
 
 
 class TestFactorCacheIntegration:
+    @staticmethod
+    def rlc():
+        from repro.circuit.netlist import GROUND, Circuit
+        from repro.circuit.waveforms import Ramp
+
+        c = Circuit("rlc")
+        c.add_vsource("vin", "a", GROUND, Ramp(0.0, 1.0, 0.1e-9, 50e-12))
+        c.add_resistor("r", "a", "b", 5.0)
+        c.add_inductor("l", "b", "c", 1e-9)
+        c.add_capacitor("c1", "c", GROUND, 0.5e-12)
+        return c
+
     def test_adaptive_reuses_factorizations_across_steps(self):
         from repro.circuit.adaptive import adaptive_transient
         from repro.circuit.netlist import GROUND, Circuit
@@ -342,19 +354,10 @@ class TestFactorCacheIntegration:
         # with backward Euler, so exact equality is not expected).
         import numpy as np
 
-        from repro.circuit.netlist import GROUND, Circuit
         from repro.circuit.transient import transient_analysis
-        from repro.circuit.waveforms import Ramp
         from repro.resilience.faults import FaultSpec, inject_faults
 
-        def rlc():
-            c = Circuit("rlc")
-            c.add_vsource("vin", "a", GROUND, Ramp(0.0, 1.0, 0.1e-9, 50e-12))
-            c.add_resistor("r", "a", "b", 5.0)
-            c.add_inductor("l", "b", "c", 1e-9)
-            c.add_capacitor("c1", "c", GROUND, 0.5e-12)
-            return c
-
+        rlc = self.rlc
         with inject_faults():
             clean = transient_analysis(rlc(), 2e-9, 1e-12, record=["c"])
         # The first hit fails the backward-Euler factor's LU rung on the
@@ -367,3 +370,26 @@ class TestFactorCacheIntegration:
         assert faulted.report.by_kind("step-halving")
         err = np.max(np.abs(faulted.voltage("c") - clean.voltage("c")))
         assert err < 0.05
+
+    def test_exhausted_chain_is_evicted(self):
+        # A NaN on the last rung of the trapezoidal factor exhausts its
+        # chain.  Kept in the LRU, the dead chain failed every later step
+        # (3796 halvings, 0.028 V off); rebuilt, one step is halved.
+        import numpy as np
+
+        from repro.circuit.transient import transient_analysis
+        from repro.resilience.faults import FaultSpec, inject_faults
+
+        with inject_faults():
+            clean = transient_analysis(self.rlc(), 2e-9, 1e-12, record=["c"])
+        with inject_faults(
+            FaultSpec("transient.lu", "nan", after=1),
+            FaultSpec("transient.equilibrated", "nan", after=100),
+        ):
+            faulted = transient_analysis(
+                self.rlc(), 2e-9, 1e-12, record=["c"]
+            )
+        halvings = faulted.report.by_kind("step-halving")
+        assert 1 <= len(halvings) <= 2
+        err = np.max(np.abs(faulted.voltage("c") - clean.voltage("c")))
+        assert err <= 1e-3

@@ -2,7 +2,6 @@
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +11,11 @@ from repro.circuit.netlist import GROUND, Circuit
 from repro.loop.extractor import LoopPort, extract_loop_impedance
 from repro.perf.parallel import SweepSpec, explicit_workers, parallel_sweep
 from repro.resilience import faults
-from repro.resilience.checkpoint import CheckpointConfig, load_checkpoint
-from repro.circuit.linalg import SingularCircuitError
 from repro.resilience.faults import FaultSpec, inject_faults
-from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import RunReport
 from repro.resilience.supervisor import (
     SupervisorConfig, chunk_indices, worker_count,
 )
-
-#: Answer-preserving rungs only: a fault on both of them kills the
-#: sweep, which is what the kill/resume scenario needs.
-BRITTLE = ResiliencePolicy(escalation="safe")
 
 
 def make_port(ports):
@@ -277,9 +269,7 @@ class TestSupervisedSweep:
         assert report.timeouts
         assert not report.quarantines
 
-    def test_poison_points_become_nan_rows_in_the_checkpoint_stream(
-        self, monkeypatch, supervision
-    ):
+    def test_poison_points_become_nan_rows(self, monkeypatch, supervision):
         def hang_always(site):
             if site == "perf.worker":
                 time.sleep(60.0)
@@ -289,70 +279,12 @@ class TestSupervisedSweep:
         report = RunReport()
         freqs = np.linspace(1e6, 1e9, 4)
         out = np.zeros(len(freqs), dtype=complex)
-        checkpointed = []
         with inject_faults():
             parallel_sweep(
                 self.tiny(), freqs, out, workers=4, chunk=1,
                 report=report,
-                on_done=checkpointed.append,
                 config=SupervisorConfig(deadline=0.4),
             )
         assert np.all(np.isnan(out.real)) and np.all(np.isnan(out.imag))
         assert len(report.quarantines) == 4
-        # Quarantined points still flow through the checkpoint hook.
-        assert sorted(checkpointed) == [0, 1, 2, 3]
 
-
-class TestParallelCheckpointing:
-    def test_parallel_sweep_writes_periodic_checkpoints(
-        self, tmp_path, signal_grid_structure
-    ):
-        layout, ports = signal_grid_structure
-        freqs = np.logspace(8, 10, 6)
-        path = tmp_path / "parallel.ckpt"
-        with inject_faults():
-            result = extract_loop_impedance(
-                layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=2,
-                checkpoint=CheckpointConfig(path, interval=2),
-            )
-        # Completed checkpoints are cleaned up; the report logged them.
-        assert not path.exists()
-        assert result.report.by_kind("checkpoint")
-
-    def test_resume_skips_completed_points_then_matches_serial(
-        self, tmp_path, signal_grid_structure
-    ):
-        layout, ports = signal_grid_structure
-        freqs = np.logspace(8, 10, 6)
-        with inject_faults():
-            baseline = extract_loop_impedance(
-                layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=1, policy=BRITTLE,
-            )
-        # Kill a serial run mid-sweep to leave a partial checkpoint...
-        path = tmp_path / "resume.ckpt"
-        # Both rungs of every point from the fourth on fail.
-        with inject_faults(
-            FaultSpec("loop.*", "raise", after=3, max_hits=None)
-        ):
-            with pytest.raises(SingularCircuitError):
-                extract_loop_impedance(
-                    layout, make_port(ports), freqs,
-                    max_segment_length=150e-6, workers=1, policy=BRITTLE,
-                    checkpoint=CheckpointConfig(path, interval=2),
-                )
-        snap = load_checkpoint(path)
-        assert 0 < int(snap.arrays["done"].sum()) < len(freqs)
-        # Every point solved before the failure is in the snapshot.
-        assert snap.arrays["done"].tolist() == [1, 1, 1, 0, 0, 0]
-        # ...then finish it with the parallel path.
-        with inject_faults():
-            resumed = extract_loop_impedance(
-                layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=2, policy=BRITTLE,
-                checkpoint=CheckpointConfig(path, interval=2),
-            )
-        assert resumed.report.by_kind("resume")
-        assert np.array_equal(resumed.impedance, baseline.impedance)
-        assert not path.exists()

@@ -172,53 +172,3 @@ class TestTransientKillResume:
                     checkpoint=CheckpointConfig(path, interval=100),
                 )
 
-
-class TestLoopSweepKillResume:
-    @pytest.fixture(scope="class")
-    def loop_setup(self, signal_grid_structure):
-        from repro.geometry.clocktree import TapPoint  # noqa: F401
-        from repro.loop.extractor import LoopPort
-
-        layout, ports = signal_grid_structure
-        port = LoopPort(
-            signal=ports["driver"], reference=ports["gnd_driver"],
-            short_signal=ports["receiver"],
-            short_reference=ports["gnd_receiver"],
-        )
-        return layout, port
-
-    def test_killed_sweep_resumes_where_it_stopped(self, tmp_path, loop_setup):
-        from repro.loop.extractor import extract_loop_impedance
-
-        layout, port = loop_setup
-        freqs = np.logspace(8, 10, 6)
-        with inject_faults():
-            baseline = extract_loop_impedance(
-                layout, port, freqs, policy=BRITTLE
-            )
-
-        path = tmp_path / "sweep.ckpt"
-        # Both rungs of every point from the fourth on fail.
-        with inject_faults(
-            FaultSpec("loop.*", "raise", after=3, max_hits=None)
-        ):
-            with pytest.raises(SingularCircuitError):
-                extract_loop_impedance(
-                    layout, port, freqs, policy=BRITTLE,
-                    checkpoint=CheckpointConfig(path, interval=2),
-                )
-        snap = load_checkpoint(path)
-        assert snap.kind == "loop-sweep"
-        done = snap.arrays["done"]
-        assert 0 < int(done.sum()) < len(freqs)
-
-        with inject_faults():
-            resumed = extract_loop_impedance(
-                layout, port, freqs, policy=BRITTLE,
-                checkpoint=CheckpointConfig(path, interval=2),
-            )
-        assert np.allclose(
-            resumed.impedance, baseline.impedance, rtol=1e-9, atol=0.0
-        )
-        assert resumed.report.by_kind("resume")
-        assert not path.exists()

@@ -58,7 +58,7 @@ def test_singular_sweep_point_is_solved_once(monkeypatch):
     report = RunReport()
     with inject_faults(), pytest.raises(SingularCircuitError):
         _sweep_impedance(
-            c, np.array([1e9]), ("p", GROUND), 0.0, SAFE, None, report,
+            c, np.array([1e9]), ("p", GROUND), 0.0, SAFE, report,
             workers=1,
         )
     assert attempts == [(4, 4), (4, 4)]  # one per safe rung
