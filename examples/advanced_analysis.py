@@ -1,12 +1,11 @@
-"""Advanced analyses: hierarchy, adaptive stepping, worst-case crosstalk.
+"""Advanced analyses: hierarchy and worst-case crosstalk.
 
 Run:  python examples/advanced_analysis.py
 
-Three production-style workflows on top of the core reproduction:
+Two production-style workflows on top of the core reproduction:
 
 1. hierarchical macromodeling (paper ref [16]) of a two-block RC network,
-2. LTE-controlled adaptive transient vs fixed-step cost,
-3. worst-case crosstalk alignment under switching-window uncertainty.
+2. worst-case crosstalk alignment under switching-window uncertainty.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.analysis.crosstalk import (
     simulate_aggressor_responses,
     worst_case_alignment,
 )
-from repro.circuit import Circuit, Ramp, adaptive_transient, transient_analysis
+from repro.circuit import Circuit, Ramp, transient_analysis
 from repro.circuit.netlist import GROUND
 from repro.geometry.structures import build_bus
 from repro.mor.hierarchical import hierarchical_reduction
@@ -49,21 +48,6 @@ def demo_hierarchy() -> None:
     hier = transient_analysis(model.circuit, 3e-9, 4e-12, record=[prev])
     err = np.max(np.abs(flat.voltage(prev) - hier.voltage(prev)))
     print(f"  waveform error vs flat: {err * 1e3:.3f} mV\n")
-
-
-def demo_adaptive() -> None:
-    print("== adaptive transient (LTE control) ==")
-    circuit = Circuit("rc")
-    circuit.add_vsource("vin", "a", GROUND, Ramp(0, 1, 0, 10e-12))
-    circuit.add_resistor("r", "a", "b", 1000.0)
-    circuit.add_capacitor("c", "b", GROUND, 1e-12)
-    res = adaptive_transient(circuit, 50e-9, 5e-12)
-    fixed_steps = int(50e-9 / 5e-12)
-    print(f"  fixed-step points: {fixed_steps}, adaptive: {len(res.times)} "
-          f"({res.num_rejected} rejected, "
-          f"{res.num_factorizations} factorizations)")
-    print(f"  final value: {res.voltage('b')[-1]:.4f} V "
-          f"(exact: {1.0:.4f})\n")
 
 
 def demo_crosstalk() -> None:
@@ -112,7 +96,6 @@ def demo_crosstalk() -> None:
 
 def main() -> None:
     demo_hierarchy()
-    demo_adaptive()
     demo_crosstalk()
 
 

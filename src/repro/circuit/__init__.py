@@ -26,7 +26,6 @@ from repro.circuit.mna import MNASystem
 from repro.circuit.dc import dc_operating_point
 from repro.circuit.ac import ACResult, ac_analysis, ac_impedance
 from repro.circuit.transient import TransientResult, transient_analysis
-from repro.circuit.adaptive import AdaptiveResult, adaptive_transient
 from repro.circuit.devices import (
     CMOSInverter,
     MOSParameters,
@@ -56,8 +55,6 @@ __all__ = [
     "ACResult",
     "transient_analysis",
     "TransientResult",
-    "adaptive_transient",
-    "AdaptiveResult",
     "CMOSInverter",
     "MOSParameters",
 ]

@@ -6,28 +6,25 @@ transient of inconsistent initial conditions (standard practice;
 trapezoidal rule would ring forever on them).
 
 Circuits with nonlinear devices run damped Newton per step.  Linear
-circuits step in **blocks**, one per checkpoint interval (the whole run
-without a checkpoint): the companion matrix ``alpha C + G`` is factored
-once per step size through the escalation chain, and every source is
-sampled once over the time grid.  G and C are multiplied and factored
-dense or sparse as :func:`~repro.circuit.linalg.solve_matrices` gives
-them.  In a dense system, a step kind (backward Euler or trapezoidal)
-that the run takes at least as many times as there are unknowns steps
-as a precomputed linear map ``x <- P x + f_k`` (:func:`_propagates`);
-every other step is one product plus the accepted LU's raw solve.  A
-block checks finiteness once at its end.
+circuits step the whole run as one **block**: the companion matrix
+``alpha C + G`` is factored once per step size through the escalation
+chain, and every source is sampled once over the time grid.  G and C
+are multiplied and factored dense or sparse as
+:func:`~repro.circuit.linalg.solve_matrices` gives them.  In a dense
+system, a step kind (backward Euler or trapezoidal) that the run takes
+at least as many times as there are unknowns steps as a precomputed
+linear map ``x <- P x + f_k`` (:func:`_propagates`); every other step is
+one product plus the accepted LU's raw solve.  The block checks
+finiteness once at its end.
 
 A block that comes out non-finite, fails its factors' ``vouch``, or
-whose factor is on a rung other than direct LU, re-runs from its start
+whose factor is on a rung other than direct LU, re-runs from the initial
 state **per step**.  There a step whose solve fails on every rung
 (:class:`SingularCircuitError`) or whose Newton iteration does not
 converge (:class:`ConvergenceError`) is halved into ``2^k``
 backward-Euler substeps, up to
 :data:`~repro.resilience.policy.MAX_STEP_HALVINGS` times; every rescue
 is logged in the result's :class:`~repro.resilience.report.RunReport`.
-Long runs can checkpoint themselves periodically and resume after a
-crash (see :class:`~repro.resilience.checkpoint.CheckpointConfig` and
-the ``repro resume`` CLI command).
 
 The K-matrix element (inverse inductance, Section 4 of the paper) needs no
 special handling here: :class:`MNASystem` already expresses it in the
@@ -37,7 +34,6 @@ can handle the K matrix" the paper calls for.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +52,6 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import sample
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.perf.cache import FACTOR_CACHE_SIZE, LRUCache, quantize_alpha
-from repro.resilience.checkpoint import (
-    CheckpointConfig,
-    finish_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-    verify_fingerprint,
-)
 from repro.resilience.policy import (
     MAX_STEP_HALVINGS, ResiliencePolicy, default_policy,
 )
@@ -80,7 +68,7 @@ class TransientResult:
         columns: Names of recorded columns (node or branch names).
         system: The compiled MNA system.
         report: Resilience log of the run (escalated solves, step
-            halvings, checkpoints).
+            halvings).
     """
 
     times: np.ndarray
@@ -135,33 +123,6 @@ def _recorded_columns(system: MNASystem, record) -> tuple[list[int], list[str]]:
         indices.append(idx)
         names.append(name)
     return indices, names
-
-
-def _unknown_names(system: MNASystem) -> list[str]:
-    """Name of every MNA unknown, in state-vector order."""
-    names = [""] * system.size
-    for node in system.circuit.node_names:
-        idx = system.node_index(node)
-        if idx >= 0:
-            names[idx] = node
-    for name, idx in system._branch_index.items():
-        names[idx] = name
-    return names
-
-
-def _embedded_deck(system: MNASystem, t_stop: float) -> str | None:
-    """The circuit as SPICE text, or None if it has no SPICE form."""
-    from repro.io.spice import write_spice
-
-    out = io.StringIO()
-    try:
-        write_spice(system.circuit, out, t_stop=t_stop)
-    except ValueError:
-        return None
-    text = out.getvalue()
-    if len(text) > 8_000_000:  # don't balloon checkpoints of huge meshes
-        return None
-    return text
 
 
 #: Forcing rows the propagator forms per product: its scratch beyond the
@@ -242,27 +203,24 @@ def _step_rhs(g_matrix, c_matrix, x_old, b_old, b_new, alpha, use_be):
     return (alpha * (c_matrix @ x_old) - g_matrix @ x_old) + b_new + b_old
 
 
-def _step_kinds(method: str, k0: int, k1: int):
-    """``(first, stop, use_be)`` runs of equal step kind in steps k0..k1."""
+def _step_kinds(method: str, num_steps: int):
+    """``(first, stop, use_be)`` runs of equal step kind over a run."""
     if method == "be":
-        return [(k0, k1, True)]
-    runs = []
-    if k0 < 2:
-        runs.append((k0, min(k1, 2), True))
-    if k1 > 2:
-        runs.append((max(k0, 2), k1, False))
+        return [(0, num_steps, True)]
+    runs = [(0, min(num_steps, 2), True)]
+    if num_steps > 2:
+        runs.append((2, num_steps, False))
     return runs
 
 
 class _BlockStepper:
-    """Raw-solve stepping of a linear circuit between checkpoints.
+    """Raw-solve stepping of a linear circuit's run as one block.
 
-    Holds what every block of one run shares: the step-product matrices,
-    the source values of :func:`_source_samples`, and the linear map of
-    each step kind that :func:`_propagates` over the run's ``kinds``.
-    Steps of any other kind evaluate :func:`_step_rhs`, as the per-step
-    path does, so on dense products their states are bit-identical to
-    that path's.
+    Holds the step-product matrices, the source values of
+    :func:`_source_samples`, and the linear map of each step kind that
+    :func:`_propagates` over the run's ``kinds``.  Steps of any other
+    kind evaluate :func:`_step_rhs`, as the per-step path does, so on
+    dense products their states are bit-identical to that path's.
     """
 
     def __init__(self, system, g_matrix, c_matrix, times, indices,
@@ -367,7 +325,6 @@ def transient_analysis(
     newton_tol: float = 1e-6,
     max_newton: int = 50,
     policy: ResiliencePolicy | None = None,
-    checkpoint: CheckpointConfig | None = None,
 ) -> TransientResult:
     """Run a fixed-step transient simulation over [0, t_stop].
 
@@ -386,11 +343,6 @@ def transient_analysis(
         max_newton: Newton iteration cap per step.
         policy: Resilience policy (escalation rungs); default from
             ``REPRO_RESILIENCE``.
-        checkpoint: Periodic snapshotting / resume configuration.  When
-            given and the file exists (and matches this run), the
-            simulation resumes from the last completed step; an
-            unrecoverable failure writes an emergency snapshot before
-            the exception propagates.
 
     Returns:
         The recorded trajectories, with :attr:`TransientResult.report`
@@ -419,89 +371,39 @@ def transient_analysis(
     indices, names = _recorded_columns(system, record)
     data = np.zeros((num_steps + 1, len(indices)))
 
-    fingerprint = {
-        "size": int(system.size),
-        "num_steps": num_steps,
-        "dt": float(dt),
-        "t_stop": float(t_stop),
-        "method": method,
-        "columns": list(names),
-    }
-    start_step = 0
-    x = None
-    if checkpoint is not None and checkpoint.resume and checkpoint.path.exists():
-        snap = load_checkpoint(checkpoint.path)
-        verify_fingerprint(snap, "transient", fingerprint, checkpoint.path)
-        start_step = int(snap.meta["step"])
-        x = np.asarray(snap.arrays["x"], dtype=float)
-        data[: start_step + 1] = snap.arrays["data"]
-        report.record_resume(
-            "transient",
-            f"resumed from {checkpoint.path} at step {start_step}/{num_steps} "
-            f"(t = {times[start_step]:.6g} s)",
-        )
+    if x0 is None:
+        with activate(report):
+            if system.has_devices:
+                x = dc_operating_point(system, t=0.0, policy=policy)
+            else:
+                x = linear_dc(system, g_matrix, 0.0, policy=policy)
+    elif isinstance(x0, str) and x0 == "zero":
+        x = np.zeros(system.size)
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        if x.shape != (system.size,):
+            raise ValueError(
+                f"x0 has shape {x.shape}, expected ({system.size},)"
+            )
+    data[0] = x[indices]
 
-    if x is None:
-        if x0 is None:
-            with activate(report):
-                if system.has_devices:
-                    x = dc_operating_point(system, t=0.0, policy=policy)
-                else:
-                    x = linear_dc(system, g_matrix, 0.0, policy=policy)
-        elif isinstance(x0, str) and x0 == "zero":
-            x = np.zeros(system.size)
-        else:
-            x = np.asarray(x0, dtype=float).copy()
-            if x.shape != (system.size,):
-                raise ValueError(
-                    f"x0 has shape {x.shape}, expected ({system.size},)"
-                )
-        data[0] = x[indices]
-
-    def save(step: int, reason: str) -> None:
-        meta = {
-            "fingerprint": fingerprint,
-            "step": step,
-            "reason": reason,
-            "num_nodes": int(system.n),
-            "unknowns": _unknown_names(system),
-            "args": {
-                "t_stop": float(t_stop),
-                "dt": float(dt),
-                "method": method,
-                "record": None if record is None else list(record),
-                "newton_tol": float(newton_tol),
-                "max_newton": int(max_newton),
-            },
-        }
-        deck = _embedded_deck(system, t_stop)
-        if deck is not None:
-            meta["deck"] = deck
-        save_checkpoint(
-            checkpoint.path, "transient", meta,
-            {"x": x, "data": data[: step + 1]},
-        )
-        report.record_checkpoint(
-            "transient", f"step {step}/{num_steps} -> {checkpoint.path} ({reason})"
-        )
-
-    # Bounded + quantized: step-halving produces one alpha per 2^k substep
-    # size and near-equal alphas that differ only in the last ulps; a raw
-    # float-keyed dict grows without bound and misses those near-equals.
-    factor_cache: LRUCache = LRUCache(FACTOR_CACHE_SIZE)
+    # One factor per companion coefficient.  The run asks only for 1/dt,
+    # 2/dt and 1/(dt/2^k) for halved substeps, each exactly 2^k fl(1/dt),
+    # so the keys repeat bit for bit and number at most
+    # MAX_STEP_HALVINGS + 1.
+    factors: dict[float, ResilientFactorization] = {}
     assembler = SweepAssembler(g_matrix, c_matrix)
     rung_used: str | None = None
 
     def companion(alpha: float, serves: str) -> ResilientFactorization:
         nonlocal rung_used
-        key = quantize_alpha(alpha)
-        factor = factor_cache.get(key)
+        factor = factors.get(alpha)
         if factor is None or factor.exhausted:
             # The union pattern / operator wrapper is shared across all
             # alphas; the factorization (splu or the Krylov rung's
-            # preconditioner factor) is cached per quantized alpha.  A
-            # chain whose every rung failed is rebuilt, not kept: one
-            # bad solve must not fail every later step at this alpha.
+            # preconditioner factor) is cached per alpha.  A chain whose
+            # every rung failed is rebuilt, not kept: one bad solve must
+            # not fail every later step at this alpha.
             with span(
                 "circuit.transient.factor", size=system.size,
                 format=assembler.mode, alpha=float(alpha), serves=serves,
@@ -513,7 +415,7 @@ def transient_analysis(
                 factor_span.attrs.update(
                     rung=factor.rung, factor_nnz=factor.factor_nnz
                 )
-            factor_cache.put(key, factor)
+            factors[alpha] = factor
         rung_used = factor.rung
         return factor
 
@@ -556,14 +458,14 @@ def transient_analysis(
     steps_counter = obs_metrics.counter("transient.steps")
     halvings_counter = obs_metrics.counter("transient.step_halvings")
 
-    def step_each(k0: int, k1: int) -> None:
-        """Steps ``k0 .. k1`` one solve at a time, with every rescue."""
+    def step_each() -> None:
+        """Steps the run one solve at a time, with every rescue."""
         nonlocal x
-        b_prev = system.rhs(times[k0])
+        b_prev = system.rhs(times[0])
         f_prev, _ = (
             system.eval_devices(x) if system.has_devices else (None, None)
         )
-        for k in range(k0, k1):
+        for k in range(num_steps):
             t_next = times[k + 1]
             b_next = system.rhs(t_next)
             use_be = method == "be" or k < 2
@@ -587,8 +489,6 @@ def transient_analysis(
                             f"(h = {dt / 2 ** halvings:.3e}): {exc}",
                         )
                         continue
-                    if checkpoint is not None:
-                        save(k, f"emergency: step {k + 1} failed")
                     raise
             x = x_new
             steps_counter.inc()
@@ -597,40 +497,38 @@ def transient_analysis(
             data[k + 1] = x[indices]
             b_prev = b_next
 
-    def step_block(stepper: _BlockStepper, k0: int, k1: int) -> bool:
-        """Steps ``k0 .. k1`` with raw solves or the propagator; False
-        leaves ``x`` as it was.
+    def step_block(stepper: _BlockStepper) -> bool:
+        """Steps the run with raw solves or the propagator; False leaves
+        ``x`` as it was.
 
-        One finiteness check per block; the companion factors go through
-        the escalation chain, and any rung but direct LU makes the block
-        fall back.
+        One finiteness check for the block; the companion factors go
+        through the escalation chain, and any rung but direct LU makes
+        the block fall back.
         """
         nonlocal x, propagated
-        segments, factors = [], []
-        for first, stop, use_be in _step_kinds(method, k0, k1):
+        segments, used = [], []
+        for first, stop, use_be in kinds:
             alpha = (1.0 / dt) if use_be else (2.0 / dt)
             factor = companion(alpha, "be" if use_be else "trap")
             solve = factor.direct_solver()
             if solve is None:
                 return False
             segments.append((first, stop, alpha, use_be, solve))
-            factors.append(factor)
+            used.append(factor)
         x_end = stepper.run(x, segments, data)
-        if not (
-            np.all(np.isfinite(x_end))
-            and np.all(np.isfinite(data[k0 + 1 : k1 + 1]))
-        ):
+        if not (np.all(np.isfinite(x_end)) and np.all(np.isfinite(data[1:]))):
             return False
-        if not all(factor.vouch(x_end) for factor in factors):
+        if not all(factor.vouch(x_end) for factor in used):
             return False
         x = x_end
-        steps_counter.inc(k1 - k0)
-        propagated += sum(
+        steps_counter.inc(num_steps)
+        propagated = sum(
             stop - first for first, stop, _, use_be, _ in segments
             if use_be in stepper.mapped
         )
         return True
 
+    kinds = _step_kinds(method, num_steps)
     blocks = replayed = propagated = 0
     with activate(report), span(
         "circuit.transient",
@@ -640,27 +538,18 @@ def transient_analysis(
         sparse=sparse,
     ) as transient_span:
         stepper = None if system.has_devices else _BlockStepper(
-            system, g_matrix, c_matrix, times, indices,
-            _step_kinds(method, start_step, num_steps),
+            system, g_matrix, c_matrix, times, indices, kinds,
         )
         try:
-            k = start_step
-            while k < num_steps:
-                stop = num_steps
-                if checkpoint is not None:
-                    stop = min(k + checkpoint.interval, num_steps)
-                if stepper is None:
-                    step_each(k, stop)
-                else:
-                    blocks += 1
-                    if not step_block(stepper, k, stop):
-                        # Re-run from the block's start state: the
-                        # per-step path records every failure as before.
-                        replayed += 1
-                        step_each(k, stop)
-                if checkpoint is not None and stop < num_steps:
-                    save(stop, "periodic")
-                k = stop
+            if stepper is None:
+                step_each()
+            else:
+                blocks = 1
+                if not step_block(stepper):
+                    # Re-run from the initial state: the per-step path
+                    # records every failure as before.
+                    replayed = 1
+                    step_each()
         finally:
             transient_span.attrs.update(
                 path="per-step" if stepper is None else "block",
@@ -671,7 +560,6 @@ def transient_analysis(
             if rung_used is not None:
                 transient_span.attrs["rung"] = rung_used
 
-    finish_checkpoint(checkpoint)
     return TransientResult(
         times=times, data=data, columns=names, system=system, report=report
     )

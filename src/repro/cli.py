@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli check deck.sp script.py [--strict] [--sanitize]
     python -m repro.cli analyze [src/repro] [--baseline qa/baseline.json]
                                 [--format json] [--out report.json]
-    python -m repro.cli resume run.ckpt [--info] [--out waves.csv]
     python -m repro.cli trace [--die 300] [--json trace.json]
     python -m repro.cli sweep spec.json [--workers 4] [--store DIR]
                               [--no-resume] [--out results.json]
@@ -23,17 +22,16 @@ SPICE deck.  ``check`` runs the :mod:`repro.qa` electrical rule check
 over SPICE decks and/or the circuits built by Python scripts, exiting
 non-zero on error-severity findings.  ``analyze`` runs the project-wide
 dataflow lint (:mod:`repro.qa.analyze`): the QA101-QA107 syntax rules
-plus the QA201-QA207 semantic rules, with a ``--baseline`` ratchet so
-only *new* findings fail the gate.  ``resume`` picks a crashed transient
-back up from its checkpoint file (see :mod:`repro.resilience`).
-``sweep`` runs a declarative scenario grid (design variant x
-geometry x sparsifier, see :mod:`repro.scenarios`) sharded over a
-process pool with per-scenario checkpointing and cross-run resume.  ``trace`` runs a small PEEC flow under the :mod:`repro.obs`
-span collector and prints the span tree plus the metrics registry,
-exiting non-zero on leaked (unclosed) spans, missing stages, or root
-spans covering less than 95% of the flow's wall clock; the
-``--trace-json`` flag on ``table1``/``run``/``loop``/``sweep`` collects
-the same data around a full command and writes it as JSON.
+plus the QA201-QA208 semantic rules, with a ``--baseline`` ratchet so
+only *new* findings fail the gate.  ``sweep`` runs a declarative
+scenario grid (design variant x geometry x sparsifier, see
+:mod:`repro.scenarios`) sharded over a process pool with per-scenario
+checkpointing and cross-run resume.  ``trace`` runs a small PEEC flow
+under the :mod:`repro.obs` span collector and prints the span tree plus
+the metrics registry, exiting non-zero on leaked (unclosed) spans,
+missing stages, or root spans covering less than 95% of the flow's wall
+clock; the ``--trace-json`` flag on ``table1``/``run``/``loop``/``sweep``
+collects the same data around a full command and writes it as JSON.
 """
 
 from __future__ import annotations
@@ -204,41 +202,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
     print("check:", "FAIL" if exit_code else "ok")
     return exit_code
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.resilience.checkpoint import CheckpointError, load_checkpoint
-    from repro.resilience import resume as rz
-
-    try:
-        if args.info:
-            print(rz.describe(args.path))
-            return 0
-        kind = load_checkpoint(args.path).kind
-        if kind == "transient":
-            result = rz.resume_transient(args.path, keep=args.keep)
-            print(
-                f"resumed transient: {len(result.times)} time points, "
-                f"t_end = {result.times[-1]:.4g} s, "
-                f"{len(result.columns)} recorded columns"
-            )
-            if result.report is not None and not result.report.clean:
-                print(result.report.format())
-            if args.out:
-                header = "time," + ",".join(result.columns)
-                np.savetxt(
-                    args.out,
-                    np.column_stack([result.times, result.data]),
-                    delimiter=",", header=header, comments="",
-                )
-                print(f"wrote {args.out}")
-        else:
-            print(f"{args.path}: unknown checkpoint kind {kind!r}")
-            return 2
-    except CheckpointError as exc:
-        print(f"resume failed: {exc}")
-        return 1
-    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -461,18 +424,6 @@ def main(argv: list[str] | None = None) -> int:
                               "and include its findings")
     p_check.set_defaults(func=_cmd_check)
 
-    p_resume = sub.add_parser(
-        "resume", help="finish a checkpointed run from its .ckpt file"
-    )
-    p_resume.add_argument("path", help="checkpoint file (*.ckpt)")
-    p_resume.add_argument("--info", action="store_true",
-                          help="describe the checkpoint without resuming")
-    p_resume.add_argument("--keep", action="store_true",
-                          help="keep the checkpoint after the run completes")
-    p_resume.add_argument("--out", default=None,
-                          help="write the completed result as CSV")
-    p_resume.set_defaults(func=_cmd_resume)
-
     p_trace = sub.add_parser(
         "trace", help="smoke-run a small PEEC flow under the span collector"
     )
@@ -519,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_an = sub.add_parser(
-        "analyze", help="project-wide dataflow lint (QA101-QA207)")
+        "analyze", help="project-wide dataflow lint (QA101-QA208)")
     p_an.add_argument("paths", nargs="*", default=["src/repro"])
     p_an.add_argument("--format", choices=("text", "json"), default="text")
     p_an.add_argument("--out", default=None, metavar="PATH")

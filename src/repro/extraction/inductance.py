@@ -238,7 +238,7 @@ def mutual_inductance_bars_batch(
     pair: the per-pair filament offsets, transverse separations, and the
     final mean reduce in exactly the same element order, so dense
     assembly can batch its close-pair integrals without perturbing any
-    cached or checkpointed result.
+    cached result.
     """
     if subdivisions < 1:
         raise ValueError("subdivisions must be >= 1")

@@ -45,8 +45,9 @@ class Layer:
         thickness: Metal thickness [m].
         sheet_resistance: Sheet resistance [ohm/square].
         pitch_direction: Preferred routing direction on this layer.
-        dielectric_below: Dielectric gap to the layer below (or to the
-            substrate for the lowest layer) [m].
+
+    The dielectric gap between two layers is ``upper.z_bottom -
+    lower.z_top``.
     """
 
     name: str
@@ -55,7 +56,6 @@ class Layer:
     thickness: float
     sheet_resistance: float
     pitch_direction: Direction
-    dielectric_below: float
 
     @property
     def z_center(self) -> float:
@@ -91,7 +91,7 @@ def default_layer_stack(num_layers: int = 6) -> list[Layer]:
         frac = i / max(num_layers - 1, 1)
         thickness = (0.35 + 0.85 * frac) * 1e-6
         sheet_res = 0.070 * (1.0 - 0.75 * frac) + 0.008
-        dielectric = (0.45 + 0.45 * frac) * 1e-6
+        dielectric = (0.45 + 0.45 * frac) * 1e-6  # gap above this layer
         direction = Direction.X if i % 2 == 0 else Direction.Y
         layers.append(
             Layer(
@@ -101,7 +101,6 @@ def default_layer_stack(num_layers: int = 6) -> list[Layer]:
                 thickness=thickness,
                 sheet_resistance=sheet_res,
                 pitch_direction=direction,
-                dielectric_below=dielectric,
             )
         )
         z += thickness + dielectric

@@ -21,7 +21,6 @@ from repro.perf.cache import (
     clear_cache,
     fingerprint_layout,
     fingerprint_segments,
-    quantize_alpha,
 )
 from repro.perf.parallel import SweepSpec, parallel_sweep, sweep_workers
 
@@ -31,7 +30,6 @@ __all__ = [
     "clear_cache",
     "fingerprint_layout",
     "fingerprint_segments",
-    "quantize_alpha",
     "SweepSpec",
     "parallel_sweep",
     "sweep_workers",

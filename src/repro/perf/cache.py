@@ -44,9 +44,7 @@ from repro.obs import metrics as obs_metrics
 class LRUCache:
     """A small bounded mapping with least-recently-used eviction.
 
-    Used for the extraction memo here and for the transient engines'
-    companion-matrix factorization caches (which previously grew without
-    bound under adaptive step control / resilience step-halving).
+    Used for the in-process extraction memos here.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -93,29 +91,6 @@ class LRUCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-
-#: Bound for the transient engines' companion-factorization caches.  A
-#: fixed-step run needs 2 alphas plus one per step-halving depth; the
-#: adaptive engine cycles through a modest working set of accepted step
-#: sizes.  16 covers both with room while bounding memory (each entry
-#: holds a full LU).
-FACTOR_CACHE_SIZE = 16
-
-
-def quantize_alpha(alpha: float, sig_digits: int = 12) -> float:
-    """Quantize a companion-matrix coefficient to a stable cache key.
-
-    Adaptive step control and resilience step-halving produce ``alpha``
-    values that differ only in the last few ulps (``2/h`` after repeated
-    halve/double round trips); keying a factorization cache on the raw
-    float misses on those near-equals.  Rounding to 12 significant digits
-    merges them while keeping the relative perturbation (~1e-12) far
-    below the integration error of any step the value came from.
-    """
-    if alpha == 0.0 or not np.isfinite(alpha):
-        return float(alpha)
-    return float(f"{alpha:.{sig_digits - 1}e}")
 
 
 # -- fingerprinting ----------------------------------------------------------
@@ -443,8 +418,6 @@ def cache_stats() -> dict[str, int]:
 
 __all__ = [
     "LRUCache",
-    "FACTOR_CACHE_SIZE",
-    "quantize_alpha",
     "fingerprint_segments",
     "fingerprint_layout",
     "cache_enabled",

@@ -602,7 +602,6 @@ silenced with '# qa: ignore[QA207]' stating what bounds it.""",
 _HOT_PATH_MODULES = frozenset({
     "repro.circuit.linalg",
     "repro.circuit.transient",
-    "repro.circuit.adaptive",
     "repro.circuit.ac",
     "repro.circuit.dc",
     "repro.loop.extractor",
@@ -654,8 +653,7 @@ the problem sizes the hierarchical operator exists for.
 
 The rule fires on any ``.todense()`` / ``.toarray()`` / ``.to_dense()``
 call inside the hot-path module set (``circuit.linalg`` / ``transient``
-/ ``adaptive`` / ``ac`` / ``dc``, ``loop.extractor``,
-``perf.parallel``).  Legitimate bounded materializations exist -- the
+/ ``ac`` / ``dc``, ``loop.extractor``, ``perf.parallel``).  Legitimate bounded materializations exist -- the
 size-guarded lstsq rescue rung, equilibration's O(n) row/column maxima,
 the recorded dense fallback when Krylov stagnates -- and each is
 silenced in place with '# qa: ignore[QA208]' naming its bound.""",

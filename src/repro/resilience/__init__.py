@@ -1,5 +1,5 @@
-"""Runtime fault tolerance: escalation, step halving, checkpoints,
-degradation.
+"""Runtime fault tolerance: escalation, step halving, degradation,
+supervised pools.
 
 The paper's analyses *break* on hostile inputs -- truncated inductance
 matrices go non-passive, ill-scaled MNA systems defeat plain LU, long
@@ -17,8 +17,6 @@ same way.
   :class:`RunReport`: structured records of every rescue taken.
 * :mod:`~repro.resilience.faults` -- seeded fault injection into named
   solve sites (``REPRO_FAULTS=chaos-<seed>`` for CI chaos runs).
-* :mod:`~repro.resilience.checkpoint` -- atomic ``.ckpt`` snapshots and
-  resume for transients (``repro resume``).
 * :mod:`~repro.resilience.degrade` -- sparsifier fallback chain
   (requested -> block-diagonal -> dense) with logged downgrades.
 * :mod:`~repro.resilience.supervisor` / :mod:`~repro.resilience.budget`
@@ -32,14 +30,6 @@ The escalation chain itself lives in
 factorization it wraps.
 """
 
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointConfig,
-    CheckpointError,
-    CheckpointMismatch,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.resilience.degrade import DegradationError, sparsify_with_fallback
 from repro.resilience.faults import (
     FaultInjector,
@@ -65,12 +55,6 @@ from repro.resilience.supervisor import (
 )
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointConfig",
-    "CheckpointError",
-    "CheckpointMismatch",
-    "load_checkpoint",
-    "save_checkpoint",
     "DegradationError",
     "sparsify_with_fallback",
     "FaultInjector",

@@ -1,7 +1,7 @@
 """Deterministic fault injection into named solve sites.
 
-The escalation chain, step halving, the supervisor and the
-checkpoint/resume paths only earn their keep if they demonstrably fire.
+The escalation chain, step halving, the supervisor and the sparsifier
+fallback chain only earn their keep if they demonstrably fire.
 This module gives the test suite (and CI) a seeded, reproducible way to
 make them fire: solver internals call the hooks below at *named sites*,
 and an installed :class:`FaultInjector` decides -- deterministically,

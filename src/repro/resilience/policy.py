@@ -34,7 +34,7 @@ _RUNGS = {
     "full": ("lu", "equilibrated", "gmin", "lstsq"),
 }
 
-#: Times both transient engines halve a failing step before it propagates.
+#: Times the transient engine halves a failing step before it propagates.
 MAX_STEP_HALVINGS = 4
 
 

@@ -5,7 +5,7 @@ Two granularities:
 * :class:`SolveReport` -- one linear solve: which escalation rungs were
   tried, why each failed, condition estimates, and which rung won.
 * :class:`RunReport` -- one analysis run (a transient, a flow, a sweep):
-  step halvings, checkpoints written, sparsifier/reduction downgrades,
+  step halvings, sparsifier/reduction downgrades, resumed scenarios,
   supervision events, and any solve reports that needed escalation.
 
 A run report can be *activated* for the current thread; solver internals
@@ -97,8 +97,8 @@ class RunEvent:
     """One noteworthy resilience action during a run.
 
     Attributes:
-        kind: ``"downgrade"`` / ``"step-halving"`` / ``"checkpoint"`` /
-            ``"resume"`` / ``"source-stepping"``, plus the supervision
+        kind: ``"downgrade"`` / ``"step-halving"`` / ``"resume"`` /
+            ``"source-stepping"``, plus the supervision
             kinds ``"timeout"`` / ``"worker-lost"`` / ``"restart"`` /
             ``"bisect"`` / ``"quarantine"`` / ``"breaker"`` /
             ``"budget-exhausted"``.
@@ -148,9 +148,6 @@ class RunReport:
 
     def record_step_halving(self, stage: str, detail: str) -> None:
         self.record("step-halving", stage, detail)
-
-    def record_checkpoint(self, stage: str, detail: str) -> None:
-        self.record("checkpoint", stage, detail)
 
     def record_resume(self, stage: str, detail: str) -> None:
         self.record("resume", stage, detail)

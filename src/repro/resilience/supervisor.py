@@ -49,10 +49,11 @@ three with one discipline:
 
 Every supervision event (timeout, worker loss, restart, bisection,
 quarantine, breaker trip, budget exhaustion) is recorded in the active
-:class:`~repro.resilience.report.RunReport`, counted in
-:mod:`repro.obs.metrics`, and -- because quarantined points flow through
-the caller's normal result/checkpoint callbacks -- lands in the
-checkpoint stream, so a SIGKILL'd sweep resumes bit-identically.
+:class:`~repro.resilience.report.RunReport` and counted in
+:mod:`repro.obs.metrics`.  Quarantined points flow through the caller's
+normal result callback, so a scenario sweep stores them like any other
+record, and a rerun after a SIGKILL resumes from that store
+bit-identically.
 
 Application exceptions (a genuinely singular system) are *not*
 supervised: they propagate to the caller exactly as the unsupervised
@@ -163,7 +164,7 @@ def chunk_indices(
     """Split item indices into contiguous chunks for scheduling.
 
     The default chunk size gives each worker ~``OVERSUBSCRIBE`` chunks;
-    an explicit ``chunk`` overrides it (tests, checkpoint granularity).
+    an explicit ``chunk`` overrides it (tests).
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
@@ -488,7 +489,7 @@ class Supervisor:
             out; ``key`` is a supervisor-assigned label unique per
             (re)issue.
         on_result: ``on_result(idx, payload)`` -- store one completed
-            chunk (fill by index, persist, checkpoint).
+            chunk (fill by index, persist).
         solve_serial: ``solve_serial(idx)`` -- evaluate one chunk in the
             parent, used after the circuit breaker trips.
         quarantine: ``quarantine(point, reason)`` -- record one poison
@@ -918,8 +919,8 @@ def supervised_map(
         config: Supervision knobs; default :meth:`SupervisorConfig.from_env`.
 
     An exception from ``fn`` propagates after every item completed before
-    it has reached ``on_done`` (so an emergency checkpoint sees every
-    finished item).
+    it has reached ``on_done`` (so the scenario store keeps every finished
+    item).
     """
     indices = np.asarray(indices, dtype=int)
     workers = worker_count(workers)

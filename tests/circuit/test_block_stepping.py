@@ -1,13 +1,13 @@
 """Block stepping of linear transients against the per-step path.
 
-Circuits without devices step each checkpoint interval as one block:
-of raw LU solves, or, for the steps of a kind (backward Euler or
-trapezoidal) that a dense run takes at least as often as it has
-unknowns, of the propagator ``x <- P x + f_k``.  These tests pin that
-the LU block reproduces the per-step path -- bit for bit where both form
-the step product from the same dense matrices, to 1e-12 elsewhere --
-that the propagator reproduces the LU block to 1e-12, and that a block
-that fails re-runs step by step, so a fault leaves the same reports as
+Circuits without devices step the whole run as one block: of raw LU
+solves, or, for the steps of a kind (backward Euler or trapezoidal)
+that a dense run takes at least as often as it has unknowns, of the
+propagator ``x <- P x + f_k``.  These tests pin that the LU block
+reproduces the per-step path -- bit for bit where both form the step
+product from the same dense matrices, to 1e-12 elsewhere -- that the
+propagator reproduces the LU block to 1e-12, and that a block that
+fails re-runs step by step, so a fault leaves the same reports as
 before.
 """
 
@@ -26,7 +26,7 @@ from repro.circuit.waveforms import PWL, Pulse, Ramp
 from repro.mor.ports import NodePort
 from repro.mor.prima import prima_reduce
 from repro.obs.trace import tracing
-from repro.resilience import CheckpointConfig, FaultSpec, inject_faults
+from repro.resilience import FaultSpec, inject_faults
 from repro.scenarios.runner import _scenario_circuit
 from repro.scenarios.spec import Scenario
 
@@ -226,15 +226,12 @@ def test_each_step_kind_propagates_by_its_own_count(monkeypatch):
     assert be_span.attrs["propagated"] == 200
 
 
-def test_forcing_chunks_do_not_change_the_states(monkeypatch, tmp_path):
+def test_forcing_chunks_do_not_change_the_states(monkeypatch):
     """The propagator forms its forcing a fixed number of rows at a time;
-    chunk edges, also inside a checkpoint block, leave the states as
-    they were."""
+    chunk edges leave the states as they were."""
     whole, _ = _run(_rc)
     monkeypatch.setattr(transient, "_FORCING_ROWS", 7)
-    chunked, span_ = _run(
-        _rc, checkpoint=CheckpointConfig(tmp_path / "f.ckpt", interval=45),
-    )
+    chunked, span_ = _run(_rc)
     assert span_.attrs["propagated"] == 198
     scale = float(np.abs(whole.data).max())
     assert float(np.abs(chunked.data - whole.data).max()) <= 1e-14 * scale
@@ -341,16 +338,6 @@ def test_devices_keep_the_per_step_path():
     assert "product" not in span_.attrs
 
 
-def test_block_boundaries_do_not_change_the_states(tmp_path):
-    whole, _ = _run(_rlc_mutual)
-    cut, span_ = _run(
-        _rlc_mutual, checkpoint=CheckpointConfig(tmp_path / "c.ckpt",
-                                                 interval=7),
-    )
-    assert span_.attrs["blocks"] == -(-200 // 7)
-    assert cut.data.tobytes() == whole.data.tobytes()
-
-
 def _reports(result):
     solves = [
         [(a.rung, a.ok, a.error) for a in r.attempts]
@@ -360,32 +347,23 @@ def _reports(result):
     return solves, events
 
 
-def _nan_run(max_hits, interval, tmp_path):
-    checkpoint = None
-    if interval is not None:
-        checkpoint = CheckpointConfig(tmp_path / "n.ckpt", interval=interval)
+def _nan_run(max_hits):
     spec = FaultSpec("transient.lu", "nan", max_hits=max_hits)
     with inject_faults(spec), tracing() as trace:
-        result = transient_analysis(_rlc_mutual(), T_STOP, DT,
-                                    checkpoint=checkpoint)
+        result = transient_analysis(_rlc_mutual(), T_STOP, DT)
     return result, trace.find("circuit.transient")
 
 
 @pytest.mark.parametrize("max_hits", [1, None])
-@pytest.mark.parametrize("interval", [None, 50])
 def test_nan_fault_on_a_block_replays_like_the_per_step_path(
-    max_hits, interval, tmp_path, per_step, lu_block
+    max_hits, per_step, lu_block
 ):
     """A ``nan`` on a block's states fails the rung that made them, and
     the block re-runs step by step: the same SolveReport rungs, RunReport
     events and states as the per-step path under the same fault."""
-
-    def run():
-        return _nan_run(max_hits, interval, tmp_path)
-
-    block, block_span = run()
+    block, block_span = _nan_run(max_hits)
     with per_step():
-        each, _ = run()
+        each, _ = _nan_run(max_hits)
     assert block_span.attrs["replayed"] >= 1
     assert block.report.solve_reports  # the fault really escalated
     assert _reports(block) == _reports(each)
@@ -393,15 +371,14 @@ def test_nan_fault_on_a_block_replays_like_the_per_step_path(
 
 
 @pytest.mark.parametrize("max_hits", [1, None])
-@pytest.mark.parametrize("interval", [None, 50])
 def test_nan_fault_on_a_propagated_block_replays_like_the_per_step_path(
-    max_hits, interval, tmp_path, per_step
+    max_hits, per_step
 ):
     """The propagator vouches for its factors like the LU block: the
     same reports as the per-step path, states within 1e-12."""
-    moved, moved_span = _nan_run(max_hits, interval, tmp_path)
+    moved, moved_span = _nan_run(max_hits)
     with per_step():
-        each, _ = _nan_run(max_hits, interval, tmp_path)
+        each, _ = _nan_run(max_hits)
     assert moved_span.attrs["replayed"] >= 1
     assert moved.report.solve_reports
     assert _reports(moved) == _reports(each)

@@ -1,16 +1,13 @@
-"""Resilience wiring inside the circuit engines: adaptive step control,
-DC gmin interaction, and the ConvergenceError iteration trace."""
+"""Resilience wiring inside the circuit engines: DC gmin interaction and
+the ConvergenceError iteration trace."""
 
 import numpy as np
 import pytest
 
-from repro.circuit.adaptive import adaptive_transient
 from repro.circuit.dc import SOURCE_STEPS, ConvergenceError, dc_operating_point
 from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import GROUND, Circuit
-from repro.circuit.waveforms import Ramp
 from repro.resilience import (
-    FaultSpec,
     ResiliencePolicy,
     RunReport,
     activate,
@@ -19,44 +16,6 @@ from repro.resilience import (
 
 SAFE = ResiliencePolicy(escalation="safe")
 FULL = ResiliencePolicy(escalation="full")
-
-
-def _rlc():
-    c = Circuit("rlc")
-    c.add_vsource("vin", "a", GROUND, Ramp(0.0, 1.0, 0.1e-9, 50e-12))
-    c.add_resistor("r", "a", "b", 5.0)
-    c.add_inductor("l", "b", "c", 1e-9)
-    c.add_capacitor("c1", "c", GROUND, 0.5e-12)
-    return c
-
-
-class TestAdaptiveStepControl:
-    def test_lte_rejections_are_counted(self):
-        with inject_faults():
-            res = adaptive_transient(_rlc(), 3e-9, 5e-12, reltol=1e-5,
-                                     record=["c"])
-        assert res.num_rejected > 0
-
-    def test_exhausted_retries_fall_back_to_step_halving(self):
-        # The sixth solve is poisoned on both rungs, so its step fails.
-        with inject_faults(
-            FaultSpec("adaptive.*", "nan", after=5, max_hits=2)
-        ):
-            res = adaptive_transient(_rlc(), 3e-9, 1e-12, record=["c"],
-                                     policy=SAFE)
-        halvings = res.report.by_kind("step-halving")
-        assert halvings
-        assert res.num_rejected >= 1
-        assert res.times[-1] == pytest.approx(3e-9, rel=1e-9)
-
-    def test_unrecoverable_fault_propagates(self):
-        # Every solve from the sixth on is poisoned on both rungs, so
-        # every halving of the step fails too.
-        with inject_faults(
-            FaultSpec("adaptive.*", "nan", after=5, max_hits=None)
-        ):
-            with pytest.raises(SingularCircuitError):
-                adaptive_transient(_rlc(), 3e-9, 1e-12, policy=SAFE)
 
 
 class _Oscillator:

@@ -1,4 +1,5 @@
-"""LRU cache, alpha quantization, and content-addressed extraction cache."""
+"""LRU cache, content-addressed extraction cache, and the transient
+factor cache."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.perf.cache import (
     clear_cache,
     fingerprint_segments,
     load_matrix,
-    quantize_alpha,
     store_matrix,
 )
 
@@ -62,31 +62,6 @@ class TestLRUCache:
         for k in range(1000):
             cache.put(float(k), object())
             assert len(cache) <= 16
-
-
-class TestQuantizeAlpha:
-    def test_merges_last_ulp_differences(self):
-        h = 2.0 / 3e-12
-        wobbled = h * (1.0 + 1e-15)
-        assert h != wobbled
-        assert quantize_alpha(h) == quantize_alpha(wobbled)
-
-    def test_halve_double_roundtrip_maps_to_same_key(self):
-        # The step-halving recovery path: h -> h/2 -> h again should reuse
-        # the original factorization even after float round trips.
-        h = 7.3e-12
-        alpha = 2.0 / h
-        roundtrip = 2.0 / (2.0 * (h * 0.5))
-        assert quantize_alpha(alpha) == quantize_alpha(roundtrip)
-
-    def test_distinguishes_genuinely_different_alphas(self):
-        assert quantize_alpha(1e12) != quantize_alpha(2e12)
-        assert quantize_alpha(1e12) != quantize_alpha(1.00001e12)
-
-    def test_passthrough_for_zero_and_nonfinite(self):
-        assert quantize_alpha(0.0) == 0.0
-        assert quantize_alpha(float("inf")) == float("inf")
-        assert np.isnan(quantize_alpha(float("nan")))
 
 
 class TestFingerprint:
@@ -333,20 +308,6 @@ class TestFactorCacheIntegration:
         c.add_capacitor("c1", "c", GROUND, 0.5e-12)
         return c
 
-    def test_adaptive_reuses_factorizations_across_steps(self):
-        from repro.circuit.adaptive import adaptive_transient
-        from repro.circuit.netlist import GROUND, Circuit
-        from repro.circuit.waveforms import Ramp
-
-        c = Circuit("rc")
-        c.add_vsource("vin", "a", GROUND, Ramp(0.0, 1.0, 0.0, 1e-12))
-        c.add_resistor("r", "a", "b", 1000.0)
-        c.add_capacitor("c", "b", GROUND, 1e-12)
-        res = adaptive_transient(c, 20e-9, 5e-12)
-        # Once the step hits dt_max the same alpha repeats, so accepted
-        # steps must outnumber factorizations: the cache is being hit.
-        assert res.num_factorizations < len(res.times) - 5
-
     def test_fixed_step_result_matches_reference_after_lru_swap(self):
         # Force the transient engine through failed-solve step halving so
         # the factor cache sees the halved-substep alphas; the waveform
@@ -373,7 +334,7 @@ class TestFactorCacheIntegration:
 
     def test_exhausted_chain_is_evicted(self):
         # A NaN on the last rung of the trapezoidal factor exhausts its
-        # chain.  Kept in the LRU, the dead chain failed every later step
+        # chain.  Kept in the cache, the dead chain failed every later step
         # (3796 halvings, 0.028 V off); rebuilt, one step is halved.
         import numpy as np
 
@@ -393,3 +354,28 @@ class TestFactorCacheIntegration:
         assert 1 <= len(halvings) <= 2
         err = np.max(np.abs(faulted.voltage("c") - clean.voltage("c")))
         assert err <= 1e-3
+
+    def test_halved_substeps_reuse_the_trapezoidal_factor(self):
+        # Six NaNs fail the backward-Euler chain on the first step, then
+        # the chains its first two halvings solve with.  A step halved
+        # once integrates at 2/dt, the trapezoidal alpha bit for bit, so
+        # it opens no factor of its own; the second and third halvings
+        # open 4/dt and 8/dt, and the third succeeds.  The exhausted
+        # backward-Euler and trapezoidal chains are rebuilt when next
+        # asked for.
+        from repro.circuit.transient import transient_analysis
+        from repro.obs.trace import tracing
+        from repro.resilience.faults import FaultSpec, inject_faults
+
+        dt = 1e-12
+        with inject_faults(FaultSpec("transient.*", "nan", max_hits=6)), \
+                tracing() as trace:
+            faulted = transient_analysis(self.rlc(), 2e-9, dt, record=["c"])
+        assert len(faulted.report.by_kind("step-halving")) == 3
+        factors = [s for s in trace.find("circuit.transient").children
+                   if s.name == "circuit.transient.factor"]
+        assert [s.attrs["alpha"] * dt for s in factors] == pytest.approx(
+            [1, 2, 4, 8, 1, 2], rel=1e-12)
+        assert [s.attrs["serves"] for s in factors] == [
+            "be", "trap", "halved", "halved", "be", "trap"]
+        assert all(s.attrs["rung"] == "lu" for s in factors)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.circuit import linalg
-from repro.circuit.adaptive import adaptive_transient
 from repro.circuit.dc import ConvergenceError
 from repro.circuit.devices import CMOSInverter
 from repro.circuit.linalg import SingularCircuitError
@@ -110,11 +109,6 @@ class TestEmptyActiveReport:
 
     def test_transient(self):
         self._run_into("transient", lambda: transient_analysis(
-            _rlc(), 0.2e-9, 1e-12, x0="zero", policy=SAFE,
-        ))
-
-    def test_adaptive(self):
-        self._run_into("adaptive", lambda: adaptive_transient(
             _rlc(), 0.2e-9, 1e-12, x0="zero", policy=SAFE,
         ))
 

@@ -1,8 +1,25 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
+import repro.cli
 from repro.cli import main
+
+
+def test_usage_text_names_every_subcommand(capsys):
+    """The module docstring's ``python -m repro.cli <cmd>`` lines and the
+    registered subparsers name the same commands."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    registered = set(re.search(r"\{([\w,-]+)\}", usage).group(1).split(","))
+    documented = set(re.findall(
+        r"^\s*python -m repro\.cli (\S+)", repro.cli.__doc__, re.MULTILINE
+    ))
+    assert documented == registered
 
 
 @pytest.mark.slow

@@ -37,5 +37,4 @@ class TestExamples:
     def test_advanced_analysis(self, capsys):
         out = run_example("advanced_analysis.py", capsys)
         assert "hierarchical" in out
-        assert "adaptive" in out
         assert "worst" in out
