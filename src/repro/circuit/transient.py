@@ -395,7 +395,16 @@ def transient_analysis(
     assembler = SweepAssembler(g_matrix, c_matrix)
     rung_used: str | None = None
 
-    def companion(alpha: float, serves: str) -> ResilientFactorization:
+    def serves(alpha: float) -> str:
+        """The step kind a factor serves, from its alpha alone: 2/dt is
+        the trapezoidal factor, which also serves steps halved once."""
+        if alpha == 1.0 / dt:
+            return "be"
+        if alpha == 2.0 / dt and method == "trap":
+            return "trap"
+        return "halved"
+
+    def companion(alpha: float) -> ResilientFactorization:
         nonlocal rung_used
         factor = factors.get(alpha)
         if factor is None or factor.exhausted:
@@ -406,7 +415,8 @@ def transient_analysis(
             # not fail every later step at this alpha.
             with span(
                 "circuit.transient.factor", size=system.size,
-                format=assembler.mode, alpha=float(alpha), serves=serves,
+                format=assembler.mode, alpha=float(alpha),
+                serves=serves(alpha),
             ) as factor_span:
                 factor = ResilientFactorization(
                     assembler.at_alpha(alpha), site="transient", policy=policy
@@ -421,13 +431,7 @@ def transient_analysis(
 
     def linear_step(x_old, b_old, b_new, alpha, use_be):
         rhs = _step_rhs(g_matrix, c_matrix, x_old, b_old, b_new, alpha, use_be)
-        if not use_be:
-            serves = "trap"
-        elif alpha == 1.0 / dt:
-            serves = "be"
-        else:  # a backward-Euler substep of a halved step
-            serves = "halved"
-        return companion(alpha, serves).solve(rhs)
+        return companion(alpha).solve(rhs)
 
     def one_step(x_old, f_old, b_old, b_new, alpha, use_be):
         if not system.has_devices:
@@ -509,7 +513,7 @@ def transient_analysis(
         segments, used = [], []
         for first, stop, use_be in kinds:
             alpha = (1.0 / dt) if use_be else (2.0 / dt)
-            factor = companion(alpha, "be" if use_be else "trap")
+            factor = companion(alpha)
             solve = factor.direct_solver()
             if solve is None:
                 return False

@@ -1,15 +1,26 @@
 """Single-scenario evaluation: build, extract, sparsify, simulate.
 
 One scenario runs the paper's comparison pipeline end to end on its
-design variant:
+design variant, in four stages:
 
-1. build the variant geometry at the scenario's length,
-2. extract the driver-port loop impedance at the scenario's frequency
-   (Section 5; FastHenry-style filament solve),
-3. optionally apply the scenario's Section-4 sparsifier to the dense
-   partial-inductance matrix and record the passivity verdict,
-4. drive the extracted loop R/L through a loaded transient and measure
-   the Table-1 observables (50% delay, overshoot).
+1. ``geometry``: build the variant geometry at the scenario's length,
+2. ``loop``: extract the driver-port loop impedance at the scenario's
+   frequency (Section 5; FastHenry-style filament solve),
+3. ``sparsify``: optionally apply the scenario's Section-4 sparsifier to
+   the dense partial-inductance matrix and record the passivity verdict,
+4. ``transient``: drive the extracted loop R/L through a loaded
+   transient and measure the Table-1 observables (50% delay, overshoot).
+
+Each stage reads only some of the scenario's fields, and its key is
+exactly those fields (see :func:`evaluate_scenario`).  The scenarios of
+one sweep share a *stage memo*, a plain dict from stage key to result,
+so a stage input the grid repeats -- the loop impedance under each of
+four sparsifiers, say -- is computed once.  Each stage runs under its own
+:class:`~repro.resilience.report.RunReport`; a memo hit replays that
+report's events into the scenario's, so a record does not depend on
+which scenario computed a stage first.  A stage that raises is not
+stored: every scenario that shares it runs it again and fails the same
+way.  :func:`evaluate_scenario` without a memo uses a fresh one.
 
 A scenario failure is *data*, not a batch abort: the record carries
 ``status: "failed"`` plus the error, and resilience downgrades (e.g. a
@@ -22,6 +33,7 @@ sharded run reproduces the serial run bit for bit.
 from __future__ import annotations
 
 import math
+from typing import Any, Callable
 
 from repro.analysis.metrics import delay_50, overshoot
 from repro.circuit.netlist import GROUND, Circuit
@@ -32,7 +44,7 @@ from repro.geometry.segment import Direction
 from repro.loop.extractor import extract_loop_impedance
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.resilience.report import RunReport, activate
+from repro.resilience.report import RunReport, activate, current_run_report
 from repro.scenarios.spec import SPARSIFIER_FACTORIES, Scenario
 from repro.scenarios.variants import build_variant
 from repro.sparsify.base import traced_apply
@@ -55,7 +67,18 @@ def _inplane_segments(layout, max_len: float) -> list:
     return segments
 
 
-def _sparsify_metrics(sc: Scenario, layout, report: RunReport) -> dict:
+def _loop_impedance(sc: Scenario, layout, port) -> tuple[complex, int]:
+    """Driver-port loop impedance at the scenario's frequency, and the
+    filament count it took."""
+    extraction = extract_loop_impedance(
+        layout, port, [sc.frequency],
+        max_segment_length=MAX_SEGMENT_LENGTH,
+        workers=1,  # the sweep shards scenarios, not points
+    )
+    return extraction.at(sc.frequency), int(extraction.num_filaments)
+
+
+def _sparsify_metrics(sc: Scenario, layout) -> dict:
     """Apply the scenario's sparsifier; degrade (never fail) on refusal."""
     factory = SPARSIFIER_FACTORIES[sc.sparsifier]
     if factory is None:
@@ -71,9 +94,11 @@ def _sparsify_metrics(sc: Scenario, layout, report: RunReport) -> dict:
         # A refused matrix (truncation guard, K-matrix passivity check,
         # a halo/shell/K-matrix result that lost positive definiteness)
         # is a per-scenario degradation: the dense model stands in.
-        report.record_downgrade(
-            "sweep", f"sparsifier {sc.sparsifier}", "dense", str(exc)
-        )
+        report = current_run_report()
+        if report is not None:
+            report.record_downgrade(
+                "sweep", f"sparsifier {sc.sparsifier}", "dense", str(exc)
+            )
         metrics["sparsify_degraded"] = True
         return metrics
     metrics["sparsify_kind"] = blocks.kind
@@ -116,16 +141,57 @@ def _transient_metrics(sc: Scenario, z: complex) -> dict:
     }
 
 
-def evaluate_scenario(sc: Scenario) -> dict:
+def _replay(stage: RunReport, report: RunReport) -> None:
+    """Append a stage's events to a scenario's report, as recorded."""
+    report.events.extend(stage.events)
+    report.solve_reports.extend(stage.solve_reports)
+
+
+def evaluate_scenario(sc: Scenario, memo: dict | None = None) -> dict:
     """Evaluate one scenario into a deterministic, JSON-ready record.
+
+    ``memo`` is the stage memo shared by the scenarios of one sweep (see
+    the module docstring); default a fresh one, so every stage runs.
 
     Returns a dict with ``id``, ``params``, ``status`` (``"ok"`` /
     ``"failed"``), ``metrics``, ``notes`` (the scenario's resilience
     events), and -- on failure -- ``error``.
     """
+    memo = {} if memo is None else memo
     report = RunReport()
+    reused: list[str] = []
     metrics: dict = {}
     status, error = "ok", None
+
+    def stage(name: str, key: tuple, compute: Callable[[], Any]) -> Any:
+        """``compute()`` once per ``(name, *key)`` of the memo.
+
+        The stage runs under its own run report, stored with its value;
+        its events reach the scenario's report whether it runs now or
+        is reused.  A stage that raises is not stored.
+        """
+        key = (name, *key)
+        if key in memo:
+            obs_metrics.counter("sweep.stages.reused").inc()
+            reused.append(name)
+            value, own = memo[key]
+            _replay(own, report)
+            return value
+        obs_metrics.counter("sweep.stages.computed").inc()
+        own = RunReport()
+        try:
+            with activate(own):
+                value = compute()
+        finally:
+            _replay(own, report)
+        memo[key] = (value, own)
+        return value
+
+    # Each stage's key is exactly the scenario fields it reads.
+    geometry = (sc.variant, sc.length)
+    loop = (*geometry, sc.frequency)
+    electrical = (sc.rise_time, sc.driver_resistance, sc.load_capacitance,
+                  sc.t_stop, sc.dt, sc.vdd)
     with span(
         "sweep.scenario",
         scenario=sc.scenario_id,
@@ -133,21 +199,27 @@ def evaluate_scenario(sc: Scenario) -> dict:
         sparsifier=sc.sparsifier,
     ) as sp:
         try:
-            with activate(report):
-                layout, port = build_variant(sc.variant, sc.length)
-                extraction = extract_loop_impedance(
-                    layout, port, [sc.frequency],
-                    max_segment_length=MAX_SEGMENT_LENGTH,
-                    workers=1,  # the sweep shards scenarios, not points
-                )
-                z = extraction.at(sc.frequency)
-                metrics["num_filaments"] = int(extraction.num_filaments)
-                metrics.update(_sparsify_metrics(sc, layout, report))
-                metrics.update(_transient_metrics(sc, z))
+            layout, port = stage(
+                "geometry", geometry,
+                lambda: build_variant(sc.variant, sc.length),
+            )
+            z, filaments = stage(
+                "loop", loop, lambda: _loop_impedance(sc, layout, port)
+            )
+            metrics["num_filaments"] = filaments
+            metrics.update(stage(
+                "sparsify", (*geometry, sc.sparsifier),
+                lambda: _sparsify_metrics(sc, layout),
+            ))
+            metrics.update(stage(
+                "transient", (*loop, *electrical),
+                lambda: _transient_metrics(sc, z),
+            ))
         except Exception as exc:
             status = "failed"
             error = f"{type(exc).__name__}: {exc}"
         sp.attrs["status"] = status
+        sp.attrs["reused"] = ",".join(reused)
     obs_metrics.counter(f"sweep.scenarios.{status}").inc()
     record = {
         "id": sc.scenario_id,

@@ -8,6 +8,11 @@ over the scenarios still to compute with
   scenario list is shipped to each worker once and contiguous chunks run
   under the :class:`~repro.resilience.supervisor.Supervisor`, whose
   workers ship their span trees, metrics and run reports home;
+* every call makes one stage memo (see :mod:`repro.scenarios.runner`)
+  and ships it with the scenario list, so each distinct geometry, loop
+  extraction, sparsifier apply and transient runs once per process: in
+  process at width 1, once per worker that meets it in a pool.  The
+  memo is dropped when the sweep returns;
 * records land in the result list **by index**, so a sharded sweep is
   bit-identical to the serial one regardless of worker count or
   completion order;
@@ -72,8 +77,8 @@ class SweepResult:
         )
 
 
-def _evaluate(scenarios: list[Scenario], i: int) -> dict:
-    return evaluate_scenario(scenarios[i])
+def _evaluate(scenarios: list[Scenario], memo: dict, i: int) -> dict:
+    return evaluate_scenario(scenarios[i], memo)
 
 
 def run_sweep(
@@ -145,7 +150,7 @@ def run_sweep(
                 store.store(record)
 
         supervised_map(
-            partial(_evaluate, scenarios),
+            partial(_evaluate, scenarios, {}),
             todo,
             stage="sweep",
             on_done=finish,

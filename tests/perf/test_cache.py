@@ -379,3 +379,26 @@ class TestFactorCacheIntegration:
         assert [s.attrs["serves"] for s in factors] == [
             "be", "trap", "halved", "halved", "be", "trap"]
         assert all(s.attrs["rung"] == "lu" for s in factors)
+
+    def test_rebuilt_trapezoidal_factor_is_labelled_by_its_alpha(self):
+        # A NaN on the LU rung sends the run step by step on the
+        # equilibrated rung; a NaN there later exhausts the trapezoidal
+        # chain, so that step is halved once and asks for 2/dt before any
+        # trapezoidal step does.  The factor rebuilt at 2/dt serves every
+        # later trapezoidal step, and its span says so.
+        from repro.circuit.transient import transient_analysis
+        from repro.obs.trace import tracing
+        from repro.resilience.faults import FaultSpec, inject_faults
+
+        dt = 1e-12
+        with inject_faults(
+            FaultSpec("transient.lu", "nan", after=1),
+            FaultSpec("transient.equilibrated", "nan", after=100),
+        ), tracing() as trace:
+            faulted = transient_analysis(self.rlc(), 2e-9, dt, record=["c"])
+        assert faulted.report.by_kind("step-halving")
+        factors = [s for s in trace.find("circuit.transient").children
+                   if s.name == "circuit.transient.factor"]
+        assert [s.attrs["alpha"] * dt for s in factors] == pytest.approx(
+            [1, 2, 2], rel=1e-12)
+        assert [s.attrs["serves"] for s in factors] == ["be", "trap", "trap"]

@@ -87,9 +87,9 @@ DRIVER = """
 
     real = sched.evaluate_scenario
 
-    def slow(sc):
+    def slow(sc, memo):
         time.sleep(0.35)  # widen the kill window; records are unchanged
-        return real(sc)
+        return real(sc, memo)
 
     sched.evaluate_scenario = slow  # forked workers inherit the patch
 

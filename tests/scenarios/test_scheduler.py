@@ -175,7 +175,7 @@ class TestSweepResultCounters:
     def test_failed_scenarios_are_counted_not_raised(self, monkeypatch):
         import repro.scenarios.scheduler as sched
 
-        def fake_eval(sc):
+        def fake_eval(sc, memo):
             ok = sc.variant == "baseline"
             return {
                 "id": sc.scenario_id,
