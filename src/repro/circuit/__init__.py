@@ -15,7 +15,6 @@ from repro.circuit.elements import (
     InductorSet,
     KInductorSet,
     MutualInductor,
-    OperatorInductorSet,
     Resistor,
     SelfInductor,
     VoltageSource,
@@ -38,7 +37,6 @@ __all__ = [
     "MutualInductor",
     "InductorSet",
     "KInductorSet",
-    "OperatorInductorSet",
     "VoltageSource",
     "CurrentSource",
     "DC",

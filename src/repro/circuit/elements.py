@@ -117,52 +117,6 @@ class InductorSet:
 
 
 @dataclass(frozen=True)
-class OperatorInductorSet:
-    """A block of inductive branches backed by a matrix-free operator.
-
-    The operator stands in for the dense inductance matrix of an
-    :class:`InductorSet` — typically a
-    :class:`repro.extraction.hierarchical.HierarchicalPartialL` — and is
-    consumed through ``matvec`` by the Krylov solve tier so grid-scale
-    blocks are never densified.  ``operator.to_dense()`` remains available
-    for validation paths that explicitly request a dense matrix.
-
-    Attributes:
-        name: Block name.
-        branches: (n1, n2) node pairs, one per branch; branch current flows
-            n1 -> n2.
-        operator: Object exposing ``shape`` (square, matching the branch
-            count), ``matvec(x)``, ``to_dense()``, ``diag`` (the
-            self-inductance diagonal [H]), and ``near_block_diagonal()``
-            (sparse exact near field, the Krylov preconditioner seed).
-    """
-
-    name: str
-    branches: tuple[tuple[str, str], ...]
-    operator: object
-
-    def __post_init__(self) -> None:
-        op = self.operator
-        for attr in ("shape", "matvec", "to_dense", "diag",
-                     "near_block_diagonal"):
-            if not hasattr(op, attr):
-                raise ValueError(
-                    f"operator inductor set {self.name}: operator lacks "
-                    f"required attribute {attr!r}"
-                )
-        n = len(self.branches)
-        if tuple(op.shape) != (n, n):
-            raise ValueError(
-                f"operator inductor set {self.name}: operator shape "
-                f"{tuple(op.shape)} does not match {n} branches"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.branches)
-
-
-@dataclass(frozen=True)
 class KInductorSet:
     """A block of inductive branches described by K = L^-1 [1/H].
 

@@ -29,15 +29,15 @@ Two further pieces serve the sweep engines:
   ``A``; handing one to :class:`ResilientFactorization` prepends a
   ``"krylov"`` rung (preconditioned GMRES) to the chain, and stagnation
   falls back to the dense direct rungs -- recorded as a RunReport
-  downgrade -- by materializing the operator exactly once;
+  downgrade -- by materializing the operator exactly once.  The
+  hierarchical loop sweep's mesh inductance is its one producer;
 * the **union sweep pattern**: :class:`SweepPattern` preassembles the
   union CSC sparsity of (G, C) once and rebuilds ``G + j omega C`` /
   ``alpha C + G`` per point by writing a fresh data vector -- entry-wise
   the same arithmetic scipy's sparse add performs, so results stay
   bit-identical to the naive per-point construction.
-  :class:`SweepAssembler` dispatches dense / sparse / operator inputs to
-  the right per-point construction behind one ``at_omega`` /
-  ``at_alpha`` interface.
+  :class:`SweepAssembler` dispatches dense / sparse / matrix-free
+  inputs to the right per-point construction.
 """
 
 from __future__ import annotations
@@ -289,9 +289,8 @@ class OperatorSystem:
 
     Attributes:
         matvec: Apply ``A`` to a vector (complex-safe).
-        precond: Sparse surrogate of ``A`` -- the sparse stamps plus the
-            operators' exact near field (block diagonal and the exact
-            off-diagonal blocks) -- cheap to factor with ``splu``.  The
+        precond: Sparse surrogate of ``A`` -- ``G`` plus the exact near
+            field of ``sigma C`` -- cheap to factor with ``splu``.  The
             compressed far field is left to ``matvec``.
         materialize: Build the dense ``A`` -- called at most once, only
             when the Krylov rung fails and the chain falls back to the
@@ -885,26 +884,26 @@ class SweepPattern:
 
 
 class SweepAssembler:
-    """Per-point system assembly for dense / sparse / operator sweeps.
+    """Per-point system assembly for dense / sparse / matrix-free sweeps.
 
-    One object per sweep, built from whatever
-    :meth:`~repro.circuit.mna.MNASystem.build_matrices` returned:
+    One object per sweep, built from its (G, C):
 
-    * dense arrays -> plain dense arithmetic (legacy behavior);
+    * dense arrays -> plain dense arithmetic;
     * sparse matrices -> :class:`SweepPattern` data updates
       (bit-identical, no per-point structural merge);
-    * an :class:`~repro.circuit.operator.OperatorStampedMatrix` C ->
+    * any other C is matrix-free: it exposes ``matvec``,
+      ``near_sparse()`` (the sparse near field that seeds the
+      preconditioner) and ``to_dense()``, as the hierarchical loop
+      sweep's mesh inductance does.  :meth:`at_omega` then gives
       :class:`OperatorSystem` instances that solve through the Krylov
       rung with a near-field ``splu`` preconditioner, and only densify
-      if the chain falls back.
+      if the chain falls back.  Such a sweep has no companion form.
     """
 
     def __init__(self, g_matrix, c_matrix) -> None:
-        from repro.circuit.operator import OperatorStampedMatrix
-
         self._g = g_matrix
         self._c = c_matrix
-        if isinstance(c_matrix, OperatorStampedMatrix):
+        if not (isinstance(c_matrix, np.ndarray) or sp.issparse(c_matrix)):
             self.mode = "operator"
             g_sparse = g_matrix.tocsr() if sp.issparse(g_matrix) else (
                 sp.csr_matrix(np.asarray(g_matrix))
@@ -948,21 +947,4 @@ class SweepAssembler:
         """The companion system ``alpha C + G`` for one step size."""
         if self.mode == "dense":
             return alpha * self._c + self._g
-        if self.mode == "sparse":
-            return self._pattern.at_alpha(alpha)
-        g, c = self._g, self._c
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return alpha * c.matvec(x) + g @ x
-
-        def materialize() -> np.ndarray:
-            # Recorded dense fallback, built once per stagnated solve.
-            return alpha * c.to_dense() + g.toarray()  # qa: ignore[QA208]
-
-        return OperatorSystem(
-            matvec=matvec,
-            precond=self._near.at_alpha(alpha),
-            materialize=materialize,
-            shape=g.shape,
-            dtype=float,
-        )
+        return self._pattern.at_alpha(alpha)

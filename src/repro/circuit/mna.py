@@ -13,11 +13,8 @@ structure PRIMA's congruence transforms need to preserve passivity.
 
 Dense partial-inductance blocks are kept as dense sub-blocks; everything
 else is sparse.  :meth:`MNASystem.build_matrices` materializes either
-dense numpy arrays (small/full-PEEC systems), scipy CSR (large
-sparsified systems), or — when the circuit carries operator-backed
-inductor blocks — an :class:`~repro.circuit.operator.
-OperatorStampedMatrix` C that applies the compressed blocks through
-``matvec`` and never densifies them (``fmt="operator"``).
+dense numpy arrays (small/full-PEEC systems) or scipy CSR (large
+sparsified systems).
 """
 
 from __future__ import annotations
@@ -90,10 +87,6 @@ class MNASystem:
             for j in range(lset.size):
                 self._branch_index[f"{lset.name}[{j}]"] = k
                 k += 1
-        for oset in self.circuit.operator_sets:
-            for j in range(oset.size):
-                self._branch_index[f"{oset.name}[{j}]"] = k
-                k += 1
         for kset in self.circuit.k_sets:
             for j in range(kset.size):
                 self._branch_index[f"{kset.name}[{j}]"] = k
@@ -132,13 +125,11 @@ class MNASystem:
     # -- matrix assembly -------------------------------------------------------
 
     def _stamp_entries(self):
-        """COO triplets for G and C, plus the dense / operator L blocks.
+        """COO triplets for G and C, plus the dense L blocks.
 
         Returns:
-            (g_rows, g_cols, g_vals, c_rows, c_cols, c_vals, dense_blocks,
-            operator_blocks) where dense_blocks is [(offset, matrix)] to
-            add into C and operator_blocks is [(offset, operator)] kept
-            matrix-free.
+            (g_rows, g_cols, g_vals, c_rows, c_cols, c_vals, dense_blocks)
+            where dense_blocks is [(offset, matrix)] to add into C.
         """
         circuit = self.circuit
         gr: list[int] = []
@@ -204,12 +195,6 @@ class MNASystem:
                 stamp_branch(k + j, ni(a), ni(b))
             dense_blocks.append((k, lset.matrix))
             k += lset.size
-        operator_blocks: list[tuple[int, object]] = []
-        for oset in circuit.operator_sets:
-            for j, (a, b) in enumerate(oset.branches):
-                stamp_branch(k + j, ni(a), ni(b))
-            operator_blocks.append((k, oset.operator))
-            k += oset.size
         for kset in circuit.k_sets:
             # Branch rows: d i/dt - K (v1 - v2) = 0.
             for j in range(kset.size):
@@ -261,49 +246,31 @@ class MNASystem:
         for src in circuit.vsources:
             stamp_branch(k, ni(src.n_plus), ni(src.n_minus))
             k += 1
-        return gr, gc, gv, cr, cc, cv, dense_blocks, operator_blocks
+        return gr, gc, gv, cr, cc, cv, dense_blocks
 
     def build_matrices(self, fmt: str = "auto") -> tuple:
         """Assemble (G, C) in the requested format.
 
         Args:
-            fmt: ``"dense"`` (numpy arrays), ``"sparse"`` (scipy CSR),
-                ``"operator"`` (sparse G + :class:`~repro.circuit.operator.
-                OperatorStampedMatrix` C, only valid with operator-backed
-                inductor sets), or ``"auto"`` -- operator when the circuit
-                carries operator sets, otherwise dense when the system is
-                small or dominated by dense inductance blocks, sparse
-                otherwise.
+            fmt: ``"dense"`` (numpy arrays), ``"sparse"`` (scipy CSR), or
+                ``"auto"`` -- dense when the system is small or dominated
+                by dense inductance blocks, sparse otherwise.
 
         Returns:
-            (G, C) matrices of shape (size, size).  Requesting
-            ``"dense"``/``"sparse"`` with operator sets materializes the
-            operators via ``to_dense()`` -- a validation path, not the
-            production solve path.
+            (G, C) matrices of shape (size, size).
         """
-        if fmt not in ("auto", "dense", "sparse", "operator"):
+        if fmt not in ("auto", "dense", "sparse"):
             raise ValueError(f"unknown format {fmt!r}")
-        has_operators = bool(self.circuit.operator_sets)
-        if fmt == "operator" and not has_operators:
-            raise ValueError(
-                "fmt='operator' requires at least one operator-backed "
-                "inductor set (Circuit.add_inductor_operator_set)"
-            )
         if fmt == "auto":
-            if has_operators:
-                fmt = "operator"
-            else:
-                dense_elems = sum(b.size for _, b in self._matrix_blocks())
-                fmt = (
-                    "dense"
-                    if self.size <= 2500 or dense_elems > 0.05 * self.size**2
-                    else "sparse"
-                )
+            dense_elems = sum(b.size for _, b in self._matrix_blocks())
+            fmt = (
+                "dense"
+                if self.size <= 2500 or dense_elems > 0.05 * self.size**2
+                else "sparse"
+            )
         if fmt in self._cache:
             return self._cache[fmt]
-        gr, gc, gv, cr, cc, cv, dense_blocks, operator_blocks = (
-            self._stamp_entries()
-        )
+        gr, gc, gv, cr, cc, cv, dense_blocks = self._stamp_entries()
         shape = (self.size, self.size)
         g_coo = sp.coo_matrix((gv, (gr, gc)), shape=shape)
         c_coo = sp.coo_matrix((cv, (cr, cc)), shape=shape)
@@ -312,35 +279,9 @@ class MNASystem:
             c = c_coo.toarray()
             for off, block in dense_blocks:
                 c[off : off + block.shape[0], off : off + block.shape[1]] += block
-            for off, op in operator_blocks:
-                m = op.shape[0]
-                c[off : off + m, off : off + m] += op.to_dense()
-        elif fmt == "operator":
-            from repro.circuit.operator import OperatorStampedMatrix
-
-            g = g_coo.tocsr()
-            c_sparse = c_coo.tocsr()
-            if dense_blocks:
-                c_sparse = (c_sparse + self._dense_blocks_coo(
-                    dense_blocks, shape)).tocsr()
-            c = OperatorStampedMatrix(c_sparse, operator_blocks)
         else:
             g = g_coo.tocsr()
             c = c_coo.tocsr()
-            if operator_blocks:
-                rows, cols, vals = [], [], []
-                for off, op in operator_blocks:
-                    block = op.to_dense()
-                    nz = np.nonzero(block)
-                    rows.append(nz[0] + off)
-                    cols.append(nz[1] + off)
-                    vals.append(block[nz])
-                extra_op = sp.coo_matrix(
-                    (np.concatenate(vals),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=shape,
-                )
-                c = (c + extra_op).tocsr()
             if dense_blocks:
                 c = (c + self._dense_blocks_coo(dense_blocks, shape)).tocsr()
         self._cache[fmt] = (g, c)
@@ -378,13 +319,6 @@ class MNASystem:
             nnz / (2.0 * size * size) if size else 0.0
         )
         obs_metrics.gauge("mna.sparse").set(1.0 if sp.issparse(g) else 0.0)
-        from repro.circuit.operator import OperatorStampedMatrix
-
-        if isinstance(c, OperatorStampedMatrix):
-            obs_metrics.gauge("mna.operator").set(1.0)
-            obs_metrics.gauge("mna.operator_bytes").set(float(c.memory_bytes))
-        else:
-            obs_metrics.gauge("mna.operator").set(0.0)
 
     def _matrix_blocks(self) -> list[tuple[int, np.ndarray]]:
         blocks = []

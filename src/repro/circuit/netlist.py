@@ -22,7 +22,6 @@ from repro.circuit.elements import (
     InductorSet,
     KInductorSet,
     MutualInductor,
-    OperatorInductorSet,
     Resistor,
     SelfInductor,
     StateSpaceElement,
@@ -44,7 +43,6 @@ class Circuit:
         self.inductors: list[SelfInductor] = []
         self.mutuals: list[MutualInductor] = []
         self.inductor_sets: list[InductorSet] = []
-        self.operator_sets: list[OperatorInductorSet] = []
         self.k_sets: list[KInductorSet] = []
         self.vsources: list[VoltageSource] = []
         self.isources: list[CurrentSource] = []
@@ -127,22 +125,6 @@ class Circuit:
         self.inductor_sets.append(element)
         return element
 
-    def add_inductor_operator_set(
-        self, name: str, branches: Iterable[tuple[str, str]], operator: object
-    ) -> OperatorInductorSet:
-        """Add an inductor block backed by a matrix-free operator.
-
-        ``operator`` is typically a
-        :class:`repro.extraction.hierarchical.HierarchicalPartialL`; the
-        block is solved through ``matvec`` (Krylov tier) and is only
-        densified when a dense/sparse matrix format is explicitly
-        requested from :meth:`repro.circuit.mna.MNASystem.build_matrices`.
-        """
-        element = OperatorInductorSet(name, tuple(branches), operator)
-        self._register(name, (n for pair in element.branches for n in pair))
-        self.operator_sets.append(element)
-        return element
-
     def add_k_set(
         self, name: str, branches: Iterable[tuple[str, str]], kmatrix: np.ndarray
     ) -> KInductorSet:
@@ -215,11 +197,10 @@ class Circuit:
 
     @property
     def num_inductor_branches(self) -> int:
-        """Total inductive branches (scalar + set + operator set + K-set)."""
+        """Total inductive branches (scalar + set + K-set)."""
         return (
             len(self.inductors)
             + sum(s.size for s in self.inductor_sets)
-            + sum(s.size for s in self.operator_sets)
             + sum(s.size for s in self.k_sets)
         )
 

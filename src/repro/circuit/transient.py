@@ -41,7 +41,6 @@ import scipy.sparse as sp
 
 from repro.circuit.dc import ConvergenceError, dc_operating_point, linear_dc
 from repro.circuit.linalg import (
-    OperatorSystem,
     ResilientFactorization,
     SingularCircuitError,
     SweepAssembler,
@@ -130,20 +129,6 @@ def _recorded_columns(system: MNASystem, record) -> tuple[list[int], list[str]]:
 _FORCING_ROWS = 256
 
 
-def _product_format(g_matrix, c_matrix) -> str:
-    """Format of the matrices that form and factor each step, as
-    :func:`~repro.circuit.linalg.solve_matrices` chose it.
-
-    ``"operator"`` when an operator-backed C applies itself, ``"csr"``
-    for sparse G and C, ``"dense"`` otherwise.
-    """
-    from repro.circuit.operator import OperatorStampedMatrix
-
-    if isinstance(c_matrix, OperatorStampedMatrix):
-        return "operator"
-    return "csr" if sp.issparse(g_matrix) else "dense"
-
-
 def _propagates(product: str, steps: int, size: int) -> bool:
     """Whether ``steps`` steps of one kind (backward Euler or
     trapezoidal) advance as the linear map ``x <- P x + f_k``.
@@ -225,7 +210,9 @@ class _BlockStepper:
 
     def __init__(self, system, g_matrix, c_matrix, times, indices,
                  kinds) -> None:
-        self.product = _product_format(g_matrix, c_matrix)
+        #: Format of the step-product matrices, as
+        #: :func:`~repro.circuit.linalg.solve_matrices` chose it.
+        self.product = "csr" if sp.issparse(g_matrix) else "dense"
         steps: dict[bool, int] = {}
         for first, stop, use_be in kinds:
             steps[use_be] = steps.get(use_be, 0) + stop - first
@@ -408,11 +395,10 @@ def transient_analysis(
         nonlocal rung_used
         factor = factors.get(alpha)
         if factor is None or factor.exhausted:
-            # The union pattern / operator wrapper is shared across all
-            # alphas; the factorization (splu or the Krylov rung's
-            # preconditioner factor) is cached per alpha.  A chain whose
-            # every rung failed is rebuilt, not kept: one bad solve must
-            # not fail every later step at this alpha.
+            # The union pattern is shared across all alphas; the
+            # factorization is cached per alpha.  A chain whose every
+            # rung failed is rebuilt, not kept: one bad solve must not
+            # fail every later step at this alpha.
             with span(
                 "circuit.transient.factor", size=system.size,
                 format=assembler.mode, alpha=float(alpha),
@@ -574,39 +560,17 @@ def _device_jacobian_system(
     alpha: float,
     triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
 ):
-    """``alpha C + G`` plus the device-Jacobian stamps, format-preserving.
+    """Sparse ``alpha C + G`` plus the device-Jacobian stamps.
 
-    The sparse path adds the handful of device triplets as a sparse
-    update -- never materializing an n x n dense Jacobian for a sparse
-    system -- and the operator path composes them into the matvec and the
-    near-field preconditioner of a new :class:`OperatorSystem`.
+    The handful of device triplets goes in as a sparse update, never
+    materializing an n x n dense Jacobian for a sparse system.
     """
     base = assembler.at_alpha(alpha)
     rows, cols, vals = triplets
-    if assembler.mode == "sparse":
-        if rows.size == 0:
-            return base
-        update = sp.coo_matrix((vals, (rows, cols)), shape=base.shape)
-        return (base + update).tocsc()
-    # Operator mode: keep the block operators matrix-free.
-    update = sp.coo_matrix(
-        (vals, (rows, cols)), shape=base.shape
-    ).tocsr()
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return base.matvec(x) + update @ x
-
-    def materialize() -> np.ndarray:
-        # Recorded dense fallback, built once per stagnated solve.
-        return base.materialize() + update.toarray()  # qa: ignore[QA208]
-
-    return OperatorSystem(
-        matvec=matvec,
-        precond=(base.precond + update).tocsc(),
-        materialize=materialize,
-        shape=base.shape,
-        dtype=float,
-    )
+    if rows.size == 0:
+        return base
+    update = sp.coo_matrix((vals, (rows, cols)), shape=base.shape)
+    return (base + update).tocsc()
 
 
 def _newton_step(

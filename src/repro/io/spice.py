@@ -97,8 +97,7 @@ def write_spice(
 
     Raises:
         ValueError: The circuit contains elements with no SPICE primitive
-            (K-matrix sets, operator-backed inductor sets, macromodels,
-            Python device objects).
+            (K-matrix sets, macromodels, Python device objects).
     """
     if circuit.k_sets:
         raise ValueError(
@@ -109,12 +108,6 @@ def write_spice(
         raise ValueError(
             "state-space macromodels have no SPICE primitive; export the "
             "unreduced circuit instead"
-        )
-    if circuit.operator_sets:
-        raise ValueError(
-            "operator-backed inductor sets (hierarchical partial-L) have "
-            "no SPICE primitive; re-extract with assembly='exact' or "
-            "densify the operator into an InductorSet before export"
         )
     if circuit.devices:
         raise ValueError(

@@ -11,13 +11,13 @@ resistance in series with its partial self inductance and fully mutually
 coupled to every other filament.  Solving the resulting R + jwL network at
 each frequency lets current redistribute among filaments, which is exactly
 how skin and proximity effects make R rise and L fall with frequency
-(Figure 3b).  Exact assembly solves the network in mesh currents, as
-FastHenry does (:class:`_MeshSystem`): one unknown per independent loop
-of the filament graph plus one for the port.  Hierarchical assembly
-stamps the same branch table as an MNA circuit whose compressed
-inductance operator the Krylov rung solves matrix-free.  Multipole
-acceleration (FastHenry's contribution) only matters at far larger
-problem sizes.
+(Figure 3b).  The network is solved in mesh currents, as FastHenry
+does (:class:`_MeshSystem`): one unknown per independent loop of the
+filament graph plus one for the port.  Exact assembly factors the dense
+mesh system at every point.  Hierarchical assembly keeps the partial-L
+operator compressed: the Krylov rung applies ``M_f L M_fᵀ`` as a
+product (:class:`_MeshInductance`) and preconditions with its near
+field, FastHenry's accelerated scheme.
 
 Capacitance is deliberately ignored; that omission is the loop model's
 central accuracy limitation ("the interconnect and device decoupling
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.circuit.netlist import Circuit
 from repro.obs.trace import span
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import RunReport, current_run_report
@@ -47,8 +46,8 @@ from repro.geometry.layout import Layout, quantize_point
 from repro.geometry.segment import Direction, Segment
 
 #: Leak [S] from every node and filament midpoint to a datum.  The
-#: network has no ground of its own: the MNA solve takes its reference
-#: from this leak, and the mesh solve adds the leak's effect on Z.
+#: network has no ground of its own; the mesh solve adds the leak's
+#: effect on Z, so Z is that of the nodal model with this leak.
 GMIN = 1e-12
 
 
@@ -141,7 +140,6 @@ class _Network:
         tails: Start node of each branch.
         heads: End node of each branch.
         resistance: Branch resistances [ohm].
-        names: Branch element names, for the MNA stamp.
         port: ``(signal, reference)`` nodes of the driver port.
     """
 
@@ -152,7 +150,6 @@ class _Network:
     tails: list[int]
     heads: list[int]
     resistance: list[float]
-    names: list[str]
     port: tuple[int, int]
 
 
@@ -212,19 +209,16 @@ def _loop_network(
     tails: list[int] = []
     heads: list[int] = []
     resistance: list[float] = []
-    names: list[str] = []
-    for k, (fil, (a, b)) in enumerate(zip(fils, ends)):
+    for fil, (a, b) in zip(fils, ends):
         tails.append(node(a))
         heads.append(node(b))
         resistance.append(segment_resistance(fil, layer_of[fil.layer]))
-        names.append(f"R{k}")
     for via in layout.vias:
         kb, kt = (quantize_point(p) for p in layout.via_endpoints(via))
         if kb in nodes and kt in nodes:
             tails.append(nodes[kb])
             heads.append(nodes[kt])
             resistance.append(via_resistance(via))
-            names.append(f"Rv_{via.name}")
 
     sig, ref, short_a, short_b = (
         _node_at_tap(layout, nodes, tap, segments)
@@ -234,46 +228,11 @@ def _loop_network(
     tails.append(short_a)
     heads.append(short_b)
     resistance.append(short_resistance)
-    names.append("Rshort")
     return _Network(
         extraction=extraction, num_segments=len(segments),
         num_filaments=len(fils), num_nodes=len(nodes), tails=tails,
-        heads=heads, resistance=resistance, names=names, port=(sig, ref),
+        heads=heads, resistance=resistance, port=(sig, ref),
     )
-
-
-def _build_rl_circuit(network: _Network) -> tuple[Circuit, tuple[str, str]]:
-    """The branch table as an MNA circuit, and its port node names.
-
-    Each filament becomes its resistor in series with its inductive
-    branch, joined at a midpoint node ``m<k>``.  A hierarchical
-    extraction is stamped as an
-    :class:`~repro.circuit.elements.OperatorInductorSet`, so the sweep
-    stays matrix-free end to end (no dense L is ever materialized).
-    """
-    circuit = Circuit("loop_extraction")
-    tails, heads = network.tails, network.heads
-    branches = []
-    for k in range(network.num_filaments):
-        mid = circuit.node(f"m{k}")
-        circuit.add_resistor(
-            network.names[k], f"n{tails[k]}", mid, network.resistance[k]
-        )
-        branches.append((mid, f"n{heads[k]}"))
-    operator = getattr(network.extraction, "operator", None)
-    if operator is not None:
-        circuit.add_inductor_operator_set("Lf", tuple(branches), operator)
-    else:
-        circuit.add_inductor_set(
-            "Lf", tuple(branches), network.extraction.matrix
-        )
-    for e in range(network.num_filaments, len(tails)):
-        circuit.add_resistor(
-            network.names[e], f"n{tails[e]}", f"n{heads[e]}",
-            network.resistance[e],
-        )
-    sig, ref = network.port
-    return circuit, (f"n{sig}", f"n{ref}")
 
 
 @dataclass
@@ -353,6 +312,52 @@ def _forest(network: _Network) -> _Forest:
     return _Forest(up, via, sign, depth, comp, in_tree, components)
 
 
+def _apply(operator, x: np.ndarray) -> np.ndarray:
+    """``L x`` through the real operator's own product, for a real or
+    complex ``x`` (a complex one goes as its real and imaginary parts)."""
+    if np.iscomplexobj(x):
+        return operator.matvec(x.real) + 1j * operator.matvec(x.imag)
+    return operator.matvec(x)
+
+
+class _MeshInductance:
+    """``C = M_f L M_fᵀ`` of a hierarchical partial-L operator, never formed.
+
+    The matrix-free C of :class:`~repro.circuit.linalg.SweepAssembler`.
+    :meth:`matvec` applies ``M_f (L (M_fᵀ x))``, and :meth:`near_sparse`
+    is the operator's exact near field in mesh currents, which seeds the
+    Krylov preconditioner.  The compressed far field reaches the solve
+    only through the product.
+
+    Attributes:
+        m_f: Filament columns of the mesh matrix (CSR).
+        operator: The partial-L operator, e.g. a
+            :class:`~repro.extraction.hierarchical.HierarchicalPartialL`.
+        shape: ``(size, size)``, the mesh system's.
+    """
+
+    def __init__(self, m_f: sp.csr_matrix, operator) -> None:
+        self.m_f = m_f
+        self.operator = operator
+        self.shape = (m_f.shape[0], m_f.shape[0])
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``C x`` for a real or complex ``x``."""
+        return self.m_f @ _apply(self.operator, self.m_f.T @ x)
+
+    def near_sparse(self) -> sp.csr_matrix:
+        """``M_f Near M_fᵀ``, with ``Near`` the operator's exact entries."""
+        near = self.operator.near_block_diagonal()
+        return (self.m_f @ near @ self.m_f.T).tocsr()
+
+    def to_dense(self) -> np.ndarray:
+        """The dense C."""
+        # Only the Krylov rung's recorded fallback asks, once per
+        # stagnated solve.
+        dense = self.operator.to_dense()  # qa: ignore[QA208]
+        return self.m_f @ (self.m_f @ dense).T
+
+
 class _MeshSystem:
     """The branch table in mesh currents: FastHenry's ``M Z Mᵀ I_m = V_s``.
 
@@ -364,11 +369,13 @@ class _MeshSystem:
     network.  With ``G = M diag(R) Mᵀ`` and ``C = M_f L M_fᵀ`` (``M_f``
     the filament columns of ``M``) every point solves
     ``(G + jωC) x = e_port``, and the port impedance is ``1 / x_port``
-    plus the leak term of :meth:`impedance`.
+    plus the leak term of :meth:`impedance`.  A hierarchical extraction
+    keeps L compressed: C is then a :class:`_MeshInductance`, which
+    the Krylov rung applies as a product.
 
     Attributes:
-        g_matrix: ``M diag(R) Mᵀ``, dense.
-        c_matrix: ``M_f L M_fᵀ``, dense.
+        g_matrix: ``M diag(R) Mᵀ``: dense, or CSR with a hierarchical L.
+        c_matrix: ``M_f L M_fᵀ``: dense, or a :class:`_MeshInductance`.
         size: Mesh unknowns: the links, then the port row.
     """
 
@@ -403,14 +410,19 @@ class _MeshSystem:
              np.concatenate(([0], np.cumsum(on_filament)))[indptr]),
             shape=(self.size, f),
         )
-        # diag(R) Mᵀ, filled dense from the rows for one product.
-        r_mt = np.zeros((len(tails), self.size))
-        r_mt[indices, np.repeat(np.arange(self.size), np.diff(indptr))] = (
-            data * r[indices]
-        )
-        self.g_matrix = self._m @ r_mt
-        self._l = network.extraction.matrix
-        self.c_matrix = m_f @ (m_f @ self._l).T
+        operator = getattr(network.extraction, "operator", None)
+        if operator is None:
+            # diag(R) Mᵀ, filled dense from the rows for one product.
+            r_mt = np.zeros((len(tails), self.size))
+            rows = np.repeat(np.arange(self.size), np.diff(indptr))
+            r_mt[indices, rows] = data * r[indices]
+            self.g_matrix = self._m @ r_mt
+            self._l = network.extraction.matrix
+            self.c_matrix = m_f @ (m_f @ self._l).T
+        else:
+            self.g_matrix = (self._m @ sp.diags(r) @ self._m.T).tocsr()
+            self._l = operator
+            self.c_matrix = _MeshInductance(m_f, operator)
 
         # What the leak term reads: the tree level by level, and the
         # connected component of every node, then of every midpoint.
@@ -448,7 +460,13 @@ class _MeshSystem:
         f = self.num_filaments
         drops = currents * self._r
         omega = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-        drops[:, :f] += (1j * omega)[:, None] * (currents[:, :f] @ self._l)
+        if isinstance(self._l, np.ndarray):
+            l_currents = currents[:, :f] @ self._l
+        else:
+            l_currents = np.array(
+                [_apply(self._l, i) for i in currents[:, :f]]
+            )
+        drops[:, :f] += (1j * omega)[:, None] * l_currents
         v = np.zeros((len(x), self.num_nodes + f), dtype=complex)
         for w, u, e, s in self._levels:
             v[:, w] = v[:, u] + s * drops[:, e]
@@ -474,7 +492,8 @@ class _MeshSystem:
         Each point is one :meth:`~repro.perf.parallel.SweepSpec.solve` of
         ``(G + jωC) x = e_port`` through
         :func:`~repro.perf.parallel.parallel_sweep`, at any pool width
-        and bit-identical across widths.
+        and bit-identical across widths.  With a :class:`_MeshInductance`
+        C the point solves through the Krylov rung.
         """
         from repro.perf.parallel import (
             SweepSpec, parallel_sweep, sweep_workers,
@@ -529,59 +548,6 @@ def _node_at_tap(
     return nodes[best]
 
 
-def _sweep_impedance(
-    circuit: Circuit,
-    freqs: np.ndarray,
-    port_nodes: tuple[str, str],
-    gmin: float,
-    policy: ResiliencePolicy,
-    report: RunReport,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Per-frequency impedance sweep of an MNA circuit.
-
-    Functionally identical to :func:`repro.circuit.ac.ac_impedance`, with
-    ``gmin`` on every node: the hierarchical extraction's sweep, which
-    solves its operator-format system through the Krylov rung.  The
-    points run through :func:`repro.perf.parallel.parallel_sweep` at
-    every width; results are placed by index, so the impedance array is
-    bit-identical to the in-process sweep.
-    """
-    from repro.circuit.linalg import add_gmin
-    from repro.circuit.mna import MNASystem
-    from repro.perf.parallel import SweepSpec, parallel_sweep, sweep_workers
-
-    with span(
-        "loop.sweep", points=len(freqs),
-        filaments=circuit.num_inductor_branches,
-    ) as sweep_span:
-        system = MNASystem(circuit)
-        g_matrix, c_matrix = system.build_matrices()
-        g_matrix = add_gmin(g_matrix, system.n, gmin)
-        sweep_span.attrs["mna_size"] = system.size
-        i_plus = system.node_index(port_nodes[0])
-        i_minus = system.node_index(port_nodes[1])
-        b = np.zeros(system.size, dtype=complex)
-        if i_plus >= 0:
-            b[i_plus] += 1.0
-        if i_minus >= 0:
-            b[i_minus] -= 1.0
-        spec = SweepSpec(
-            g_matrix=g_matrix,
-            c_matrix=c_matrix,
-            b=b,
-            site="loop",
-            policy=policy,
-            port=(i_plus, i_minus),
-        )
-        z = np.zeros(len(freqs), dtype=complex)
-        parallel_sweep(
-            spec, freqs, z, workers=sweep_workers(workers, system.size),
-            report=report,
-        )
-        return z
-
-
 def extract_loop_impedance(
     layout: Layout,
     port: LoopPort,
@@ -609,9 +575,10 @@ def extract_loop_impedance(
             highest sweep frequency per layer; or pass an explicit grid.
         short_resistance: Resistance of the receiver-end short [ohm].
         assembly: ``"exact"`` extracts the dense partial-L matrix and
-            solves in mesh currents; ``"hierarchical"`` stamps the
-            compressed operator and the sweep solves matrix-free through
-            the Krylov rung -- the dense L is never materialized.
+            factors the mesh system at each point; ``"hierarchical"``
+            keeps the compressed operator, and each point solves the
+            same mesh system matrix-free through the Krylov rung -- the
+            dense L is never materialized.
         eta: Hierarchical admissibility parameter (hierarchical only).
         tol: Hierarchical ACA tolerance (hierarchical only).
         leaf_size: Hierarchical cluster-tree leaf size (hierarchical
@@ -634,7 +601,6 @@ def extract_loop_impedance(
     if len(freqs) == 0:
         raise ValueError("frequencies must be non-empty")
 
-    mesh = None
     with span("loop.build") as build_sp:
         network = _loop_network(
             layout, port, float(freqs.max()), max_segment_length, filaments,
@@ -644,23 +610,13 @@ def extract_loop_impedance(
         build_sp.attrs.update(
             segments=network.num_segments, filaments=network.num_filaments
         )
-        if assembly == "exact":
-            mesh = _MeshSystem(network)
-        else:
-            _forest(network)  # raises on a disconnected port
-            circuit, port_nodes = _build_rl_circuit(network)
+        mesh = _MeshSystem(network)
 
     policy = policy or default_policy()
     report = current_run_report()
     if report is None:
         report = RunReport()
-    if mesh is not None:
-        z = mesh.sweep(freqs, policy, report, workers=workers)
-    else:
-        z = _sweep_impedance(
-            circuit, freqs, port_nodes, GMIN, policy, report,
-            workers=workers,
-        )
+    z = mesh.sweep(freqs, policy, report, workers=workers)
     return LoopExtractionResult(
         frequencies=freqs, impedance=z,
         num_filaments=network.num_filaments, report=report,

@@ -90,9 +90,6 @@ def _terminal_edges(circuit: Circuit) -> Iterator[tuple[str, str, str, str]]:
     for lset in circuit.inductor_sets:
         for j, (a, b) in enumerate(lset.branches):
             yield a, b, "Lset", f"{lset.name}[{j}]"
-    for oset in circuit.operator_sets:
-        for j, (a, b) in enumerate(oset.branches):
-            yield a, b, "Lset", f"{oset.name}[{j}]"
     for kset in circuit.k_sets:
         for j, (a, b) in enumerate(kset.branches):
             yield a, b, "Kset", f"{kset.name}[{j}]"
@@ -233,30 +230,6 @@ def _check_values(circuit: Circuit, report: DiagnosticReport) -> None:
                     location=block.name,
                     hint="self terms must be positive; check the extraction",
                 ))
-    # Operator-backed sets: the dense matrix is deliberately never
-    # materialized, so only the (exact) self terms are checkable.
-    for oset in circuit.operator_sets:
-        diag = np.asarray(oset.operator.diag, dtype=float)
-        if not np.all(np.isfinite(diag)):
-            report.add(Diagnostic(
-                rule="erc.nonpositive-value",
-                severity=Severity.ERROR,
-                message="operator inductor set diagonal contains NaN/Inf "
-                        "entries",
-                location=oset.name,
-                hint="fix the extraction producing the operator",
-            ))
-            continue
-        bad = np.flatnonzero(diag <= 0.0)
-        if bad.size:
-            report.add(Diagnostic(
-                rule="erc.nonpositive-value",
-                severity=Severity.ERROR,
-                message=f"operator inductor set has {bad.size} non-positive "
-                        f"diagonal entries (first at branch {int(bad[0])})",
-                location=oset.name,
-                hint="self terms must be positive; check the extraction",
-            ))
 
 
 def _check_source_loops(circuit: Circuit, report: DiagnosticReport) -> None:
@@ -290,10 +263,6 @@ def _check_inductor_loops(circuit: Circuit, report: DiagnosticReport) -> None:
         (a, b, f"{lset.name}[{j}]")
         for lset in circuit.inductor_sets
         for j, (a, b) in enumerate(lset.branches)
-    ] + [
-        (a, b, f"{oset.name}[{j}]")
-        for oset in circuit.operator_sets
-        for j, (a, b) in enumerate(oset.branches)
     ]
     for n1, n2, name in inductive:
         if not uf.union(n1, n2):

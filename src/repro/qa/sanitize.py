@@ -154,20 +154,6 @@ class Sanitizer:
                 f"K matrix of set {kset.name!r}", kset.kmatrix,
                 f"mna({circuit.name})",
             )
-        # Operator-backed sets stay compressed: densifying them here would
-        # defeat the matrix-free tier, so only the exact self terms are
-        # checked (the hierarchical assembler guarantees symmetry by
-        # construction).
-        for oset in circuit.operator_sets:
-            diag = np.asarray(oset.operator.diag, dtype=float)
-            if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-                self._violation(
-                    "qa.nonfinite-matrix",
-                    f"operator inductor set {oset.name!r} has non-finite or "
-                    "non-positive self inductances",
-                    f"mna({circuit.name})",
-                    "fix the extraction producing the operator",
-                )
 
     # -- transient checks --------------------------------------------------
 

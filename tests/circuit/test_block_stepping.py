@@ -15,7 +15,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.circuit import linalg, transient
 from repro.circuit.dc import dc_operating_point
@@ -100,39 +99,6 @@ def _ladder(sections=300):
     return c
 
 
-class _DenseBackedOperator:
-    """A dense L behind the operator-set interface, diagonal near field."""
-
-    def __init__(self, matrix):
-        self._m = np.asarray(matrix, dtype=float)
-        self.shape = self._m.shape
-        self.diag = np.diagonal(self._m).copy()
-        self.memory_bytes = self._m.nbytes
-
-    def matvec(self, x):
-        return self._m @ x
-
-    def to_dense(self):
-        return self._m.copy()
-
-    def near_block_diagonal(self):
-        return sp.csr_matrix(np.diag(self.diag))
-
-
-def _operator():
-    c = Circuit("operator")
-    c.add_vsource("vin", "in", GROUND, Ramp(0.0, 1.0, 10e-12, 30e-12))
-    c.add_resistor("r1", "in", "m1", 5.0)
-    c.add_resistor("r2", "in", "m2", 5.0)
-    c.add_capacitor("c1", "far", GROUND, 20e-15)
-    c.add_resistor("rl", "far", GROUND, 1e5)
-    l_matrix = np.array([[1.2e-9, 0.3e-9], [0.3e-9, 1.1e-9]])
-    c.add_inductor_operator_set(
-        "L", (("m1", "far"), ("m2", "far")), _DenseBackedOperator(l_matrix)
-    )
-    return c
-
-
 def _forced(circuit, fmt):
     system = MNASystem(circuit)
     original = system.build_matrices
@@ -152,7 +118,6 @@ FAMILIES = {
     "prima-host": lambda: _prima_host(),
     "csr-product": lambda: _ladder(),
     "sparse": lambda: _forced(_rlc_mutual(), "sparse"),
-    "operator": lambda: _forced(_operator(), "operator"),
 }
 
 
@@ -258,9 +223,6 @@ def test_fewer_steps_than_unknowns_keep_the_lu_block(per_step):
         pytest.param("csr-product", "csr", "lu", 0, 0,
                      id="csr-product-csr-lu-0"),
         pytest.param("sparse", "csr", "lu", 0, 0, id="sparse-csr-lu-0"),
-        # The Krylov rung keeps the per-step path: the block falls back.
-        pytest.param("operator", "operator", "krylov", 1, 0,
-                     id="operator-operator-krylov-1"),
     ],
 )
 def test_transient_span_records_path_product_and_rung(

@@ -86,6 +86,12 @@ class TestStamps:
         assert np.allclose(cd, cs.toarray())
         assert sp.issparse(gs)
 
+    def test_formats_are_dense_and_sparse(self):
+        c = Circuit("t")
+        c.add_resistor("r", "a", GROUND, 1.0)
+        with pytest.raises(ValueError, match="unknown format"):
+            MNASystem(c).build_matrices("operator")
+
     def test_kset_stamp(self):
         c = Circuit("t")
         kmatrix = np.array([[2e9]])

@@ -1,10 +1,8 @@
 """Transient Newton without dense materialization.
 
-The PR 9 regression suite for the transient solve path: with sparse
-matrices the per-step Newton iteration stamps the device Jacobian as a
-sparse update (never ``todense()``), with operator-backed C the
-companion systems solve through the Krylov rung, and both agree with
-the legacy dense formulation.
+With sparse matrices the per-step Newton iteration stamps the device
+Jacobian as a sparse update (never ``todense()``) and agrees with the
+dense formulation.
 """
 
 import numpy as np
@@ -16,7 +14,6 @@ from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
 from repro.circuit.waveforms import Ramp
-from repro.obs import metrics as obs_metrics
 from repro.resilience import inject_faults
 
 T_STOP = 1e-9
@@ -37,7 +34,7 @@ def _forced_format_system(circuit, fmt):
     """MNASystem whose auto format resolves to ``fmt``.
 
     The auto heuristic picks dense below 2500 unknowns, so small-n tests
-    pin the format explicitly to exercise the sparse/operator paths.
+    pin the format explicitly to exercise the sparse path.
     """
     system = MNASystem(circuit)
     original = system.build_matrices
@@ -89,70 +86,3 @@ class TestSparseNewton:
         first = _run(_forced_format_system(circuit, "sparse"))
         second = _run(_forced_format_system(circuit, "sparse"))
         assert first.data.tobytes() == second.data.tobytes()
-
-
-class _DenseBackedOperator:
-    """Minimal operator-set backend: a dense SPD L behind the operator
-    interface, with a diagonal near field, so the off-diagonal couplings
-    reach the Krylov solve only through ``matvec``."""
-
-    def __init__(self, matrix):
-        self._m = np.asarray(matrix, dtype=float)
-        self.shape = self._m.shape
-        self.diag = np.diagonal(self._m).copy()
-        self.memory_bytes = self._m.nbytes
-
-    def matvec(self, x):
-        return self._m @ x
-
-    def to_dense(self):
-        return self._m.copy()
-
-    def near_block_diagonal(self):
-        return sp.csr_matrix(np.diag(self.diag))
-
-
-def _coupled_rl_circuit():
-    """Two coupled inductive branches driven through an inverter."""
-    rng = np.random.default_rng(17)
-    m = rng.normal(size=(2, 2)) * 1e-10
-    l_matrix = m @ m.T + np.eye(2) * 1e-9
-    c = Circuit("t")
-    c.add_vsource("vdd", "vdd", GROUND, 1.2)
-    c.add_vsource("vin", "in", GROUND, Ramp(0.0, 1.2, 0.1e-9, 0.7e-9))
-    c.add_device(CMOSInverter("u", "in", "out", "vdd", GROUND))
-    c.add_resistor("r1", "out", "m1", 5.0)
-    c.add_resistor("r2", "out", "m2", 5.0)
-    c.add_capacitor("c1", "far", GROUND, 20e-15)
-    c.add_resistor("rl", "far", GROUND, 1e5)
-    return c, l_matrix, (("m1", "far"), ("m2", "far"))
-
-
-class TestOperatorTransient:
-    def test_operator_agrees_with_dense(self):
-        circuit, l_matrix, branches = _coupled_rl_circuit()
-        circuit.add_inductor_operator_set(
-            "L", branches, _DenseBackedOperator(l_matrix)
-        )
-        fallbacks0 = obs_metrics.counter("solver.krylov_fallbacks").value
-        solves0 = obs_metrics.counter("solver.krylov_solves").value
-        operator = _run(_forced_format_system(circuit, "operator"))
-        dense = _run(_forced_format_system(circuit, "dense"))
-        assert np.max(np.abs(operator.data - dense.data)) < 1e-8
-        assert obs_metrics.counter("solver.krylov_solves").value > solves0
-        assert (
-            obs_metrics.counter("solver.krylov_fallbacks").value == fallbacks0
-        )
-
-    def test_linear_operator_transient(self):
-        # No devices: the linear step path must also route the operator
-        # companion through the Krylov rung.
-        circuit, l_matrix, branches = _coupled_rl_circuit()
-        circuit.devices.clear()
-        circuit.add_resistor("rdrv", "in", "out", 50.0)
-        circuit.add_inductor_operator_set(
-            "L", branches, _DenseBackedOperator(l_matrix)
-        )
-        operator = _run(_forced_format_system(circuit, "operator"))
-        dense = _run(_forced_format_system(circuit, "dense"))
-        assert np.max(np.abs(operator.data - dense.data)) < 1e-8

@@ -2,10 +2,10 @@
 
 ``extract_loop_impedance(assembly="exact")`` solves the filament network
 in mesh currents (``_MeshSystem``).  The reference is the nodal model of
-the same branch table: ``_build_rl_circuit`` stamps it as an MNA circuit
-(each filament's resistor in series with its inductive branch), and
-``_sweep_impedance`` solves every unknown with the same ``GMIN`` leak on
-every node and filament midpoint.
+the same branch table, stamped here as an MNA circuit (each filament's
+resistor in series with its inductive branch) and solved by
+``ac_impedance`` with the same ``GMIN`` leak on every node and filament
+midpoint.
 """
 
 import math
@@ -14,19 +14,18 @@ import numpy as np
 import pytest
 
 from repro import flows
+from repro.circuit.ac import ac_impedance
+from repro.circuit.netlist import Circuit
 from repro.geometry.clocktree import TapPoint
 from repro.geometry.layout import Layout, NetKind
 from repro.geometry.segment import Direction, default_layer_stack
 from repro.loop import extractor
 from repro.loop.extractor import (
-    GMIN, LoopPort, _build_rl_circuit, _loop_network, _sweep_impedance,
-    extract_loop_impedance,
+    GMIN, LoopPort, _loop_network, extract_loop_impedance,
 )
 from repro.obs.trace import tracing
 from repro.perf import parallel
 from repro.resilience import inject_faults
-from repro.resilience.policy import default_policy
-from repro.resilience.report import RunReport
 from repro.scenarios.variants import VARIANTS, build_variant
 
 
@@ -48,15 +47,38 @@ def _mesh(layout, port, freqs, **kwargs):
     return z, trace.find("loop.sweep").attrs
 
 
+def nodal_impedance(network, matrix, freqs):
+    """Z of the branch table in nodal form, every unknown kept.
+
+    Each filament is its resistor in series with its row of the dense
+    partial-L ``matrix``, joined at a midpoint node; every other branch
+    is a resistor.  ``GMIN`` leaks from every node and midpoint.
+    """
+    circuit = Circuit("loop_extraction")
+    tails, heads = network.tails, network.heads
+    branches = []
+    for k in range(network.num_filaments):
+        mid = circuit.node(f"m{k}")
+        circuit.add_resistor(
+            f"R{k}", f"n{tails[k]}", mid, network.resistance[k]
+        )
+        branches.append((mid, f"n{heads[k]}"))
+    circuit.add_inductor_set("Lf", tuple(branches), matrix)
+    for e in range(network.num_filaments, len(tails)):
+        circuit.add_resistor(
+            f"R{e}", f"n{tails[e]}", f"n{heads[e]}", network.resistance[e]
+        )
+    sig, ref = network.port
+    with inject_faults():
+        return ac_impedance(
+            circuit, freqs, (f"n{sig}", f"n{ref}"), gmin=GMIN, workers=1,
+        )
+
+
 def _full_mna(layout, port, freqs, **kwargs):
     """The same network solved in nodal form, every unknown kept."""
     network = _loop_network(layout, port, float(max(freqs)), **kwargs)
-    circuit, port_nodes = _build_rl_circuit(network)
-    with inject_faults():
-        return _sweep_impedance(
-            circuit, np.asarray(freqs, dtype=float), port_nodes, GMIN,
-            default_policy(), RunReport(), workers=1,
-        )
+    return nodal_impedance(network, network.extraction.matrix, freqs)
 
 
 def _rel(a, b):

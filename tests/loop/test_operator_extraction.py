@@ -1,10 +1,11 @@
 """Operator-backed (matrix-free) loop extraction vs the dense path.
 
-The PR 9 acceptance bar: with ``assembly="hierarchical"`` the loop
-sweep solves through the Krylov rung over the hierarchical operator --
-no dense L is ever materialized -- and agrees with the exact dense
-extraction to well below the ACA tolerance on every Section-6 variant
-family.
+With ``assembly="hierarchical"`` the loop sweep solves the same mesh
+system as exact assembly, ``(G + jω M_f L M_fᵀ) x = e_port``, through
+the Krylov rung: ``M_f L M_fᵀ`` is applied as a product of the
+hierarchical operator and never materialized.  It agrees with the exact
+dense extraction to well below the ACA tolerance on every Section-6
+variant family, and with the nodal MNA model of the same operator.
 """
 
 import math
@@ -12,13 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import linalg
+from repro.circuit import linalg, mna
 from repro.flows import _gnd_tap_near, build_clock_testcase
-from repro.loop.extractor import LoopPort, extract_loop_impedance
+from repro.loop.extractor import (
+    LoopPort, _loop_network, extract_loop_impedance,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracing
-from repro.resilience import inject_faults
+from repro.resilience import FaultSpec, RunReport, activate, inject_faults
 from repro.scenarios.variants import VARIANTS, build_variant
+from tests.loop.test_mesh import nodal_impedance
 
 LENGTH = 100e-6
 MAX_SEGMENT_LENGTH = 200e-6
@@ -96,7 +100,8 @@ def test_near_field_preconditioner_on_a_real_far_field(monkeypatch):
     true_init = linalg.SweepAssembler.__init__
 
     def spy(self, g_matrix, c_matrix):
-        operators.extend(op for _, op in getattr(c_matrix, "blocks", ()))
+        if hasattr(c_matrix, "operator"):
+            operators.append(c_matrix.operator)
         true_init(self, g_matrix, c_matrix)
 
     monkeypatch.setattr(linalg.SweepAssembler, "__init__", spy)
@@ -129,3 +134,93 @@ def test_near_field_preconditioner_on_a_real_far_field(monkeypatch):
         exact.impedance
     )
     assert np.max(rel) <= 1e-9, f"rel err {np.max(rel):.3e}"
+
+
+def _sweep(layout, port, freqs, max_segment_length, **kwargs):
+    """Impedances and trace of one sweep, ambient faults suppressed."""
+    with inject_faults(), tracing() as trace:
+        z = extract_loop_impedance(
+            layout, port, freqs, max_segment_length=max_segment_length,
+            **kwargs,
+        ).impedance
+    return z, trace
+
+
+def test_hierarchical_sweep_is_the_mesh_system(monkeypatch):
+    """The hierarchical sweep builds no MNA system: it solves the mesh
+    system of the exact sweep, with the same unknowns."""
+    layout, port, max_segment_length = _clock_loop()
+    _, exact = _sweep(layout, port, [1e9], max_segment_length, workers=1)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the loop sweep built an MNASystem")
+
+    monkeypatch.setattr(mna.MNASystem, "__init__", refuse)
+    _, hier = _sweep(layout, port, [1e9], max_segment_length, workers=1,
+                     assembly="hierarchical")
+    keys = ("filaments", "branches", "nodes", "mesh_size")
+    attrs = hier.find("loop.sweep").attrs
+    assert {k: attrs[k] for k in keys} == {
+        k: exact.find("loop.sweep").attrs[k] for k in keys
+    }
+    assert "mna_size" not in attrs
+    setup = hier.find("solver.krylov.setup").attrs
+    assert setup["size"] == attrs["mesh_size"]
+
+
+def test_hierarchical_sweep_matches_the_nodal_model_of_its_operator():
+    """An independent path: the same operator, materialized in the test,
+    stamped as a nodal MNA circuit and solved by ``ac_impedance``.  This
+    checks the congruence product and the operator's leak term."""
+    layout, port, max_segment_length = _clock_loop()
+    freqs = np.logspace(7, 10.5, 6)
+    hier, _ = _sweep(layout, port, freqs, max_segment_length, workers=1,
+                     assembly="hierarchical")
+    network = _loop_network(
+        layout, port, float(freqs.max()), max_segment_length,
+        assembly="hierarchical",
+    )
+    assert network.extraction.operator.far_blocks
+    nodal = nodal_impedance(
+        network, network.extraction.operator.to_dense(), freqs
+    )
+    assert np.max(np.abs(hier - nodal) / np.abs(nodal)) <= 1e-10
+
+
+def test_pooled_hierarchical_sweep_is_bit_identical():
+    """Pool workers receive the mesh inductance and solve bit for bit
+    what the in-process sweep solves."""
+    layout, port, max_segment_length = _clock_loop()
+    freqs = np.logspace(7, 10.5, 4)
+    serial, _ = _sweep(layout, port, freqs, max_segment_length, workers=1,
+                       assembly="hierarchical")
+    pooled, trace = _sweep(layout, port, freqs, max_segment_length,
+                           workers=2, assembly="hierarchical")
+    names = [s.name for s in trace.iter_spans()]
+    assert "supervisor.chunk" in names
+    assert names.count("solver.krylov.gmres") == len(freqs)
+    assert np.array_equal(serial, pooled)
+
+
+def test_failed_krylov_rung_falls_back_to_the_dense_mesh_system():
+    """When the Krylov rung fails, the point's mesh system is formed
+    once, densely, and the direct rungs give the same answer."""
+    layout, port, max_segment_length = _clock_loop()
+    freqs = [1e8, 1e10]
+    krylov, _ = _sweep(layout, port, freqs, max_segment_length, workers=1,
+                       assembly="hierarchical")
+    fallbacks0 = obs_metrics.counter("solver.krylov_fallbacks").value
+    to_dense0 = obs_metrics.counter("hierarchical.to_dense_calls").value
+    report = RunReport()
+    with inject_faults(FaultSpec("loop.krylov", "raise", max_hits=None)), \
+            activate(report):
+        direct = extract_loop_impedance(
+            layout, port, freqs, max_segment_length=max_segment_length,
+            workers=1, assembly="hierarchical",
+        ).impedance
+    assert (obs_metrics.counter("solver.krylov_fallbacks").value
+            == fallbacks0 + len(freqs))
+    assert (obs_metrics.counter("hierarchical.to_dense_calls").value
+            == to_dense0 + len(freqs))
+    assert [e.kind for e in report.events] == ["downgrade"] * len(freqs)
+    assert np.max(np.abs(direct - krylov) / np.abs(krylov)) <= 1e-10

@@ -6,19 +6,17 @@ straight to step halving, and an engine run inside an activated run
 report records into it even while that report is still empty.
 """
 
-import numpy as np
 import pytest
 
 from repro.circuit import linalg
+from repro.circuit.ac import ac_impedance
 from repro.circuit.dc import ConvergenceError
 from repro.circuit.devices import CMOSInverter
 from repro.circuit.linalg import SingularCircuitError
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.transient import transient_analysis
 from repro.circuit.waveforms import Ramp
-from repro.loop.extractor import (
-    LoopPort, _sweep_impedance, extract_loop_impedance,
-)
+from repro.loop.extractor import LoopPort, extract_loop_impedance
 from repro.obs import metrics as obs_metrics
 from repro.resilience import (
     FaultSpec, ResiliencePolicy, RunReport, activate, inject_faults,
@@ -55,11 +53,9 @@ def test_singular_sweep_point_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "Factorization", Counted)
     report = RunReport()
-    with inject_faults(), pytest.raises(SingularCircuitError):
-        _sweep_impedance(
-            c, np.array([1e9]), ("p", GROUND), 0.0, SAFE, report,
-            workers=1,
-        )
+    with inject_faults(), activate(report), \
+            pytest.raises(SingularCircuitError):
+        ac_impedance(c, [1e9], ("p", GROUND), policy=SAFE, workers=1)
     assert attempts == [(4, 4), (4, 4)]  # one per safe rung
     assert report.events == []
     assert [[a.rung for a in r.attempts] for r in report.solve_reports] == [
