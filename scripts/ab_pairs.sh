@@ -9,9 +9,12 @@
 # `benchmarks/e2e/run.py --workload W --seed S` in both checkouts, each
 # with its own `src/` and the `BENCHMARK.json` run length, alternating
 # which side runs first so that drift in the host's load falls on both
-# sides.  Records go to `ab_parent.jsonl` and `ab_change.jsonl` under
-# AB_OUT (default: a new temporary directory); at the end it prints
-# `compare.py`'s table of medians, quartiles and verdicts.
+# sides.  Then it runs one traced repetition (`--trace 1 --seconds 0`,
+# FIRST_SEED) of each workload on each side, for the per-layer table.
+# Records go to `ab_parent.jsonl` and `ab_change.jsonl` under AB_OUT
+# (default: a new temporary directory); at the end it prints
+# `compare.py`'s table of medians, quartiles and verdicts, and the
+# per-layer medians of the traced records.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
@@ -30,9 +33,9 @@ fi
 out=${AB_OUT:-$(mktemp -d)}
 mkdir -p "$out"
 
-run() {  # run SIDE_DIR OUT_FILE WORKLOAD SEED
+run() {  # run SIDE_DIR OUT_FILE WORKLOAD SEED [RUN_PY_ARG...]
     (cd "$1" && python3 benchmarks/e2e/run.py --workload "$3" --seed "$4" \
-        --out "$2" > /dev/null)
+        --out "$2" "${@:5}" > /dev/null)
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -47,6 +50,14 @@ for ((i = 0; i < pairs; i++)); do
             run "$parent" "$out/ab_parent.jsonl" "$workload" "$seed"
         fi
     done
+done
+
+for workload in "${workloads[@]}"; do
+    echo "traced  seed $first_seed  $workload" >&2
+    run "$parent" "$out/ab_parent.jsonl" "$workload" "$first_seed" \
+        --trace 1 --seconds 0
+    run "$change" "$out/ab_change.jsonl" "$workload" "$first_seed" \
+        --trace 1 --seconds 0
 done
 
 echo "records: $out/ab_parent.jsonl $out/ab_change.jsonl" >&2

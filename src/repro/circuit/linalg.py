@@ -891,13 +891,16 @@ class SweepAssembler:
     * dense arrays -> plain dense arithmetic;
     * sparse matrices -> :class:`SweepPattern` data updates
       (bit-identical, no per-point structural merge);
-    * any other C is matrix-free: it exposes ``matvec``,
-      ``near_sparse()`` (the sparse near field that seeds the
-      preconditioner) and ``to_dense()``, as the hierarchical loop
-      sweep's mesh inductance does.  :meth:`at_omega` then gives
+    * any other C is matrix-free: it exposes ``near_sparse()`` (its
+      exact near field, sparse), ``far_matvec`` (the product of the
+      rest) and ``to_dense()``, as the hierarchical loop sweep's mesh
+      inductance does.  :meth:`at_omega` then gives
       :class:`OperatorSystem` instances that solve through the Krylov
-      rung with a near-field ``splu`` preconditioner, and only densify
-      if the chain falls back.  Such a sweep has no companion form.
+      rung.  The near system ``G + j omega near`` is both the ``splu``
+      preconditioner and the near part of the product, so a product is
+      one sparse matvec plus ``j omega`` times the far one; only a
+      chain that falls back densifies.  Such a sweep has no companion
+      form.
     """
 
     def __init__(self, g_matrix, c_matrix) -> None:
@@ -927,9 +930,10 @@ class SweepAssembler:
         if self.mode == "sparse":
             return self._pattern.at_omega(omega)
         g, c = self._g, self._c
+        near = self._near.at_omega(omega)
 
         def matvec(x: np.ndarray) -> np.ndarray:
-            return g @ x + (1j * omega) * c.matvec(x)
+            return near @ x + (1j * omega) * c.far_matvec(x)
 
         def materialize() -> np.ndarray:
             # Recorded dense fallback, built once per stagnated solve.
@@ -937,7 +941,7 @@ class SweepAssembler:
 
         return OperatorSystem(
             matvec=matvec,
-            precond=self._near.at_omega(omega),
+            precond=near,
             materialize=materialize,
             shape=g.shape,
             dtype=complex,

@@ -22,6 +22,14 @@ FastHenry as the way out, and this module is that idea in H-matrix form:
   sum r*(m+n)) instead of O(n^2)), ``to_dense()`` for small-n
   validation / MNA hand-off, and memory/compression stats.
 
+The kernel is paid per call as well as per entry, so the build batches
+it: each direction group's near field goes through
+:func:`~repro.extraction.partial_matrix.mutual_for_pairs` in slices of
+:data:`~repro.extraction.partial_matrix.CLOSE_PAIR_CHUNK` pairs, and
+:func:`aca` runs every far block in lockstep, one row call and one
+column call per round.  Each block's pivots and arithmetic are those of
+a block compressed alone, so every stored block is the same bit for bit.
+
 The QA passivity checker stays the guard: the sparsifier-style adapter
 (:class:`repro.sparsify.hierarchical.HierarchicalSparsifier`) verifies
 the materialized matrix is SPD before MNA consumes it and falls back to
@@ -32,6 +40,7 @@ off the cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,6 +48,7 @@ import scipy.sparse as sp
 
 from repro.extraction.inductance import self_inductance_bar
 from repro.extraction.partial_matrix import (
+    CLOSE_PAIR_CHUNK,
     _segment_arrays,
     coupling_coefficient,
     mutual_for_pairs,
@@ -176,70 +186,161 @@ def _collect_block_pairs(
 # -- adaptive cross approximation --------------------------------------------
 
 
-def aca(
-    entry_row: Callable[[int], np.ndarray],
-    entry_col: Callable[[int], np.ndarray],
-    num_rows: int,
-    num_cols: int,
-    tol: float,
-    max_rank: int = MAX_ACA_RANK,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Partial-pivot ACA of an ``num_rows x num_cols`` block.
+def _kernel_values(
+    entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    sizes: list[int],
+    request: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    chunk: int | None = None,
+) -> list[np.ndarray]:
+    """Kernel values of requests ``0 .. len(sizes) - 1``, as views of one
+    array: ``request(k)`` gives request k's ``(rows, cols)`` pairs, and
+    ``sizes[k]`` their count.
 
-    ``entry_row(i)`` / ``entry_col(j)`` evaluate one exact row / column
-    of the block.  Returns ``(U, V)`` with ``A ~= U @ V`` such that the
-    estimated relative Frobenius error is below ``tol``, or ``None``
-    when ``max_rank`` crosses were not enough (the caller should fall
-    back to exact evaluation).
+    The pairs go through one ``entries`` call, or through one per
+    ``chunk`` pairs; each slice then builds only the requests it
+    overlaps, so no pair list longer than a slice and its two end
+    requests is ever held.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    row_unused = np.ones(num_rows, dtype=bool)
-    col_unused = np.ones(num_cols, dtype=bool)
-    approx_norm2 = 0.0
-    i = 0
-    for _ in range(min(num_rows, num_cols, max_rank)):
-        residual_row = np.array(entry_row(i), dtype=float, copy=True)
-        for u, v in zip(us, vs):
-            residual_row -= u[i] * v
-        row_unused[i] = False
-        candidates = np.where(col_unused, np.abs(residual_row), -1.0)
+    if not sizes:
+        return []
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=int)))
+    total = int(bounds[-1])
+    values = np.empty(total)
+    step = chunk or max(total, 1)
+    for s in range(0, total, step):
+        e = min(s + step, total)
+        first = int(np.searchsorted(bounds, s, side="right")) - 1
+        last = int(np.searchsorted(bounds, e, side="left"))
+        pairs = [request(k) for k in range(first, last)]
+        lo = s - int(bounds[first])
+        values[s:e] = entries(
+            np.concatenate([r for r, _ in pairs])[lo:lo + e - s],
+            np.concatenate([c for _, c in pairs])[lo:lo + e - s],
+        )
+    return np.split(values, bounds[1:-1])
+
+
+class _Cross:
+    """One block's partial-pivot ACA: its crosses so far and next pivots.
+
+    ``budget`` counts the crosses left before the rank cap.  A block is
+    ``done`` once accepted, with ``factors`` ``(U, V)``, or once its
+    budget ran out unconverged, with ``factors`` None.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
+                 budget: int) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.budget = budget
+        self.us: list[np.ndarray] = []
+        self.vs: list[np.ndarray] = []
+        self.row_unused = np.ones(rows.size, dtype=bool)
+        self.col_unused = np.ones(cols.size, dtype=bool)
+        self.norm2 = 0.0
+        self.i = 0
+        self.j = 0
+        self.v = np.empty(0)
+        self.done = budget <= 0
+        self.factors: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _accept(self) -> None:
+        self.done = True
+        if not self.us:
+            self.factors = (
+                np.zeros((self.rows.size, 0)), np.zeros((0, self.cols.size))
+            )
+        else:
+            self.factors = (np.column_stack(self.us), np.vstack(self.vs))
+
+    def take_row(self, row: np.ndarray) -> bool:
+        """Pivot on the sampled row; False when that accepts the block."""
+        residual = row.copy()
+        for u, v in zip(self.us, self.vs):
+            residual -= u[self.i] * v
+        self.row_unused[self.i] = False
+        candidates = np.where(self.col_unused, np.abs(residual), -1.0)
         j = int(np.argmax(candidates))
-        pivot = residual_row[j]
+        pivot = residual[j]
         if candidates[j] <= 0.0 or pivot == 0.0:
             # The sampled residual row is exactly zero: the remaining
             # residual is (numerically) rank-deficient; accept.
-            break
-        v = residual_row / pivot
-        residual_col = np.array(entry_col(j), dtype=float, copy=True)
-        for u, w in zip(us, vs):
-            residual_col -= w[j] * u
-        u = residual_col
-        col_unused[j] = False
-        us.append(u)
-        vs.append(v)
+            self._accept()
+            return False
+        self.j = j
+        self.v = residual / pivot
+        return True
+
+    def take_col(self, col: np.ndarray, tol: float) -> None:
+        """Complete the cross with the sampled column; test convergence."""
+        u = col.copy()
+        for u_prev, w in zip(self.us, self.vs):
+            u -= w[self.j] * u_prev
+        v = self.v
+        self.col_unused[self.j] = False
+        self.us.append(u)
+        self.vs.append(v)
         uu = float(u @ u)
         vv = float(v @ v)
         cross = 0.0
-        for u_prev, v_prev in zip(us[:-1], vs[:-1]):
+        for u_prev, v_prev in zip(self.us[:-1], self.vs[:-1]):
             cross += float(u_prev @ u) * float(v_prev @ v)
-        approx_norm2 += uu * vv + 2.0 * cross
-        if approx_norm2 <= 0.0 or uu * vv <= (tol * tol) * approx_norm2:
-            break
-        if not row_unused.any():
-            break
-        next_candidates = np.where(row_unused, np.abs(u), -1.0)
-        i = int(np.argmax(next_candidates))
-    else:
-        return None  # rank cap hit before the tolerance
-    if not us:
-        return (
-            np.zeros((num_rows, 0)),
-            np.zeros((0, num_cols)),
+        self.norm2 += uu * vv + 2.0 * cross
+        if (self.norm2 <= 0.0 or uu * vv <= (tol * tol) * self.norm2
+                or not self.row_unused.any()):
+            self._accept()
+            return
+        self.i = int(np.argmax(np.where(self.row_unused, np.abs(u), -1.0)))
+        self.budget -= 1
+        self.done = self.budget == 0  # the rank cap before the tolerance
+
+
+def aca(
+    entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    blocks: list[tuple[np.ndarray, np.ndarray]],
+    tol: float,
+    max_rank: int = MAX_ACA_RANK,
+) -> tuple[list[tuple[np.ndarray, np.ndarray] | None], int]:
+    """Partial-pivot ACA of many blocks in lockstep.
+
+    ``blocks`` lists each block's ``(rows, cols)`` indices, and
+    ``entries(rows, cols)`` evaluates the kernel at explicit index pairs.
+    Every round samples the pivot row of each open block in one
+    ``entries`` call, then the pivot column of each block that still
+    needs one in a second.  A block's pivots, stopping test and
+    arithmetic are those it would have compressed alone.
+
+    Returns:
+        Per block, ``(U, V)`` with ``A ~= U @ V`` to an estimated
+        relative Frobenius error below ``tol``, or None when
+        ``max_rank`` crosses were not enough (the caller falls back to
+        exact evaluation); and the number of rounds run.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    crosses = [
+        _Cross(rows, cols, min(rows.size, cols.size, max_rank))
+        for rows, cols in blocks
+    ]
+
+    def sample(requests: list[tuple[np.ndarray, np.ndarray]]):
+        return _kernel_values(
+            entries, [r.size for r, _ in requests], requests.__getitem__
         )
-    return np.column_stack(us), np.vstack(vs)
+
+    active = [c for c in crosses if not c.done]
+    rounds = 0
+    while active:
+        rounds += 1
+        samples = sample([(np.full(c.cols.size, c.rows[c.i]), c.cols)
+                          for c in active])
+        active = [c for c, row in zip(active, samples) if c.take_row(row)]
+        samples = sample([(c.rows, np.full(c.rows.size, c.cols[c.j]))
+                          for c in active])
+        for c, col in zip(active, samples):
+            c.take_col(col, tol)
+        active = [c for c in active if not c.done]
+    return [c.factors for c in crosses], rounds
 
 
 # -- the compressed operator -------------------------------------------------
@@ -295,9 +396,10 @@ class HierarchicalPartialL:
     """Compressed partial-inductance operator: exact near + low-rank far.
 
     The operator is symmetric by construction: off-diagonal blocks are
-    stored once and applied in both orientations.  ``matvec`` is the
-    production interface; ``to_dense`` materializes the full matrix for
-    small-n validation and for MNA consumers that need entries.
+    stored once and applied in both orientations.  ``matvec`` applies the
+    whole operator and ``far_matvec`` the compressed far field alone;
+    ``to_dense`` materializes the full matrix for small-n validation and
+    for MNA consumers that need entries.
     """
 
     def __init__(
@@ -325,22 +427,56 @@ class HierarchicalPartialL:
         return (self.n, self.n)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``y = L @ x`` without ever forming the dense matrix."""
-        x = np.asarray(x, dtype=float)
+        """``y = L @ x`` for a real or complex ``x``, without ever forming
+        the dense matrix."""
+        x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(
                 f"matvec expects shape ({self.n},), got {x.shape}"
             )
-        y = self.diag * x
+        y = self.diag * x + self.far_matvec(x)
         for blk in self.sym_blocks:
             y[blk.indices] += blk.matrix @ x[blk.indices]
         for blk in self.near_blocks:
             y[blk.rows] += blk.matrix @ x[blk.cols]
             y[blk.cols] += blk.matrix.T @ x[blk.rows]
-        for blk in self.far_blocks:
-            y[blk.rows] += blk.u @ (blk.v @ x[blk.cols])
-            y[blk.cols] += blk.v.T @ (blk.u.T @ x[blk.rows])
         return y
+
+    @cached_property
+    def _far_stack(self) -> sp.csr_matrix:
+        """Every far block's V on its columns over its Uᵀ on its rows,
+        stacked once: the 2K x n factor ``S`` of ``F = Sᵀ P S``, with K
+        the summed ranks and ``P`` the swap of the two halves.
+
+        Built straight in CSR, one row per block and rank, its entries on
+        the block's own index order.
+        """
+        pieces = [(blk.cols, blk.v) for blk in self.far_blocks]
+        pieces += [(blk.rows, blk.u.T) for blk in self.far_blocks]
+        if not pieces:
+            return sp.csr_matrix((0, self.n))
+        widths = np.repeat([idx.size for idx, _ in pieces],
+                           [m.shape[0] for _, m in pieces])
+        return sp.csr_matrix((
+            np.concatenate([m.ravel() for _, m in pieces]),
+            np.concatenate([np.tile(idx, m.shape[0]) for idx, m in pieces]),
+            np.concatenate(([0], np.cumsum(widths))),
+        ), shape=(widths.size, self.n))
+
+    def far_matvec(self, x: np.ndarray) -> np.ndarray:
+        """The compressed far field's product ``F x``: both orientations
+        of every block in one product by the stacked factor and one by
+        its transpose.  A complex ``x`` goes as its real and imaginary
+        parts side by side, in the same pass."""
+        stack = self._far_stack
+        k = stack.shape[0] // 2
+        complex_x = np.iscomplexobj(x)
+        if complex_x:
+            x = np.ascontiguousarray(x, dtype=complex).view(float)
+            x = x.reshape(-1, 2)
+        z = stack @ x
+        y = stack.T @ np.concatenate((z[k:], z[:k]))
+        return y.view(complex)[:, 0] if complex_x else y
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full symmetric matrix (small-n validation)."""
@@ -366,7 +502,7 @@ class HierarchicalPartialL:
         operator stores exactly, leaving only the ACA-compressed far
         field out.  It is the preconditioner seed for the Krylov solve
         tier — cheap to factor with ``splu`` and never densifies the far
-        field, which reaches the solve only through :meth:`matvec`.
+        field, which reaches the solve only through :meth:`far_matvec`.
         """
         n = self.n
         rows = [np.arange(n)]
@@ -429,6 +565,49 @@ class HierarchicalPartialL:
 # -- builder -----------------------------------------------------------------
 
 
+def _exact_blocks(
+    entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    leaves: list[Cluster],
+    pairs: list[tuple[Cluster, Cluster]],
+    global_of: np.ndarray,
+) -> tuple[list[SymmetricBlock], list[DenseBlock]]:
+    """The same-cluster blocks of ``leaves`` and the dense blocks of the
+    cluster ``pairs``, from one batch of kernel calls.
+
+    The batch goes in slices of :data:`CLOSE_PAIR_CHUNK` pairs: one call
+    over a whole direction group's near field would hold every pair's
+    temporaries at once, and one call per block pays the kernel's fixed
+    cost per block.
+    """
+    upper = [np.triu_indices(leaf.size, k=1) for leaf in leaves]
+
+    def request(k: int) -> tuple[np.ndarray, np.ndarray]:
+        if k < len(leaves):
+            iu, ju = upper[k]
+            return leaves[k].indices[iu], leaves[k].indices[ju]
+        a, b = pairs[k - len(leaves)]
+        return np.repeat(a.indices, b.size), np.tile(b.indices, a.size)
+
+    sizes = [iu.size for iu, _ in upper] + [a.size * b.size for a, b in pairs]
+    values = _kernel_values(entries, sizes, request, CLOSE_PAIR_CHUNK)
+    sym = []
+    for leaf, (iu, ju), vals in zip(leaves, upper, values):
+        block = np.zeros((leaf.size, leaf.size))
+        block[iu, ju] = vals
+        block[ju, iu] = vals
+        sym.append(SymmetricBlock(indices=global_of[leaf.indices],
+                                  matrix=block))
+    dense = [
+        DenseBlock(
+            rows=global_of[a.indices], cols=global_of[b.indices],
+            # A copy: a view would keep the whole batch alive.
+            matrix=vals.reshape(a.size, b.size).copy(),
+        )
+        for (a, b), vals in zip(pairs, values[len(leaves):])
+    ]
+    return sym, dense
+
+
 def build_hierarchical_operator(
     segments: list[Segment],
     eta: float = DEFAULT_ETA,
@@ -457,6 +636,7 @@ def build_hierarchical_operator(
     near_blocks: list[DenseBlock] = []
     far_blocks: list[LowRankBlock] = []
     fallbacks = 0
+    kernel_calls = 0
 
     with span(
         "extraction.hierarchical", segments=n, eta=eta, tol=tol,
@@ -486,65 +666,44 @@ def build_hierarchical_operator(
                 )
 
             def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+                nonlocal kernel_calls
+                kernel_calls += 1
                 return mutual_for_pairs(
                     start, end, ta, tb, width, thick, rows, cols,
                     close_ratio, close_subdivisions,
                 )
 
-            def dense_block(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-                rows = np.repeat(ii, jj.size)
-                cols = np.tile(jj, ii.size)
-                return entries(rows, cols).reshape(ii.size, jj.size)
-
             with span(
                 "hierarchical.near", axis=direction_axis,
                 blocks=len(near) + len(diag_leaves),
             ):
-                for leaf in diag_leaves:
-                    ii = leaf.indices
-                    m = ii.size
-                    block = np.zeros((m, m))
-                    if m > 1:
-                        iu, ju = np.triu_indices(m, k=1)
-                        vals = entries(ii[iu], ii[ju])
-                        block[iu, ju] = vals
-                        block[ju, iu] = vals
-                    sym_blocks.append(SymmetricBlock(
-                        indices=global_of[ii], matrix=block,
-                    ))
-                for a, b in near:
-                    near_blocks.append(DenseBlock(
-                        rows=global_of[a.indices],
-                        cols=global_of[b.indices],
-                        matrix=dense_block(a.indices, b.indices),
-                    ))
+                sym, dense = _exact_blocks(
+                    entries, diag_leaves, near, global_of
+                )
+                sym_blocks += sym
+                near_blocks += dense
 
             with span(
                 "hierarchical.far", axis=direction_axis, blocks=len(far),
-            ):
-                for a, b in far:
-                    ii, jj = a.indices, b.indices
-                    uv = aca(
-                        lambda i: entries(
-                            np.full(jj.size, ii[i]), jj
-                        ),
-                        lambda j: entries(
-                            ii, np.full(ii.size, jj[j])
-                        ),
-                        ii.size, jj.size, tol,
-                    )
-                    if uv is None:
-                        # The block resisted compression: keep it exact.
-                        fallbacks += 1
-                        near_blocks.append(DenseBlock(
-                            rows=global_of[ii], cols=global_of[jj],
-                            matrix=dense_block(ii, jj),
+            ) as far_span:
+                factors, rounds = aca(
+                    entries, [(a.indices, b.indices) for a, b in far], tol,
+                    MAX_ACA_RANK,
+                )
+                far_span.attrs["aca_rounds"] = rounds
+                for (a, b), uv in zip(far, factors):
+                    if uv is not None:
+                        far_blocks.append(LowRankBlock(
+                            rows=global_of[a.indices],
+                            cols=global_of[b.indices], u=uv[0], v=uv[1],
                         ))
-                        continue
-                    far_blocks.append(LowRankBlock(
-                        rows=global_of[ii], cols=global_of[jj],
-                        u=uv[0], v=uv[1],
-                    ))
+                # The blocks that resisted compression stay exact.
+                resisted = [pair for pair, uv in zip(far, factors)
+                            if uv is None]
+                fallbacks += len(resisted)
+                near_blocks += _exact_blocks(
+                    entries, [], resisted, global_of
+                )[1]
 
         op = HierarchicalPartialL(
             diag=diag,
@@ -562,7 +721,9 @@ def build_hierarchical_operator(
             near_blocks=stats["num_near_blocks"] + stats["num_sym_blocks"],
             far_blocks=stats["num_far_blocks"],
             max_rank=stats["max_rank"],
+            far_rank=sum(blk.rank for blk in far_blocks),
             aca_fallbacks=stats["aca_fallbacks"],
+            kernel_calls=kernel_calls,
             compression=round(stats["compression"], 3),
         )
         obs_metrics.gauge("hierarchical.compression_ratio").set(

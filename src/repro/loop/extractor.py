@@ -312,22 +312,15 @@ def _forest(network: _Network) -> _Forest:
     return _Forest(up, via, sign, depth, comp, in_tree, components)
 
 
-def _apply(operator, x: np.ndarray) -> np.ndarray:
-    """``L x`` through the real operator's own product, for a real or
-    complex ``x`` (a complex one goes as its real and imaginary parts)."""
-    if np.iscomplexobj(x):
-        return operator.matvec(x.real) + 1j * operator.matvec(x.imag)
-    return operator.matvec(x)
-
-
 class _MeshInductance:
     """``C = M_f L M_fᵀ`` of a hierarchical partial-L operator, never formed.
 
     The matrix-free C of :class:`~repro.circuit.linalg.SweepAssembler`.
-    :meth:`matvec` applies ``M_f (L (M_fᵀ x))``, and :meth:`near_sparse`
-    is the operator's exact near field in mesh currents, which seeds the
-    Krylov preconditioner.  The compressed far field reaches the solve
-    only through the product.
+    :meth:`near_sparse` is the operator's exact near field in mesh
+    currents, which the sweep adds to G for the Krylov preconditioner
+    and for the near part of every product alike; :meth:`far_matvec`
+    applies the rest, ``M_f (F (M_fᵀ x))`` with ``F`` the compressed far
+    field.
 
     Attributes:
         m_f: Filament columns of the mesh matrix (CSR).
@@ -341,9 +334,9 @@ class _MeshInductance:
         self.operator = operator
         self.shape = (m_f.shape[0], m_f.shape[0])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``C x`` for a real or complex ``x``."""
-        return self.m_f @ _apply(self.operator, self.m_f.T @ x)
+    def far_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``M_f F M_fᵀ x`` for a real or complex ``x``."""
+        return self.m_f @ self.operator.far_matvec(self.m_f.T @ x)
 
     def near_sparse(self) -> sp.csr_matrix:
         """``M_f Near M_fᵀ``, with ``Near`` the operator's exact entries."""
@@ -464,7 +457,7 @@ class _MeshSystem:
             l_currents = currents[:, :f] @ self._l
         else:
             l_currents = np.array(
-                [_apply(self._l, i) for i in currents[:, :f]]
+                [self._l.matvec(i) for i in currents[:, :f]]
             )
         drops[:, :f] += (1j * omega)[:, None] * l_currents
         v = np.zeros((len(x), self.num_nodes + f), dtype=complex)

@@ -16,7 +16,7 @@ import pytest
 from repro.circuit import linalg, mna
 from repro.flows import _gnd_tap_near, build_clock_testcase
 from repro.loop.extractor import (
-    LoopPort, _loop_network, extract_loop_impedance,
+    LoopPort, _loop_network, _MeshSystem, extract_loop_impedance,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracing
@@ -62,16 +62,19 @@ def test_operator_vs_dense_agreement(variant):
     assert obs_metrics.counter("solver.krylov_solves").value > solves0
 
 
-def _clock_loop():
-    """A small clock-net loop sweep geometry and port.
+def _clock_loop(die=200e-6, branches=2, branch_length=60e-6,
+                pitch=50e-6):
+    """A clock-net loop sweep geometry and port, as the e2e loop-sweep
+    workloads build them.
 
-    A 200 um die with 2 branches of 60 um at 50 um stripe pitch, cut
-    into filaments of at most 120 um: 344 filaments at the sweep's top
-    frequency, enough for the hierarchical operator to compress a real
-    far field (ACA ranks up to 8).
+    By default a 200 um die with 2 branches of 60 um at 50 um stripe
+    pitch, cut into filaments of at most 120 um: 344 filaments at the
+    sweep's top frequency, enough for the hierarchical operator to
+    compress a real far field (ACA ranks up to 8).
     """
     case = build_clock_testcase(
-        die=200e-6, num_branches=2, branch_length=60e-6, stripe_pitch=50e-6,
+        die=die, num_branches=branches, branch_length=branch_length,
+        stripe_pitch=pitch,
     )
     driver = case.ports.driver
     far = max(
@@ -134,6 +137,26 @@ def test_near_field_preconditioner_on_a_real_far_field(monkeypatch):
         exact.impedance
     )
     assert np.max(rel) <= 1e-9, f"rel err {np.max(rel):.3e}"
+
+
+@pytest.mark.parametrize("freq", [1e8, 10 ** 10.5])
+def test_point_product_is_the_dense_system(freq):
+    """A point's product, the near system plus ``jω`` times the far
+    product, is ``G + jωC`` applied densely."""
+    layout, port, max_segment_length = _clock_loop()
+    network = _loop_network(layout, port, 10 ** 10.5, max_segment_length,
+                            assembly="hierarchical")
+    mesh = _MeshSystem(network)
+    omega = 2.0 * math.pi * freq
+    system = linalg.SweepAssembler(
+        mesh.g_matrix, mesh.c_matrix
+    ).at_omega(omega)
+    dense = mesh.g_matrix.toarray() + 1j * omega * mesh.c_matrix.to_dense()
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
+    ref = dense @ x
+    err = np.max(np.abs(system.matvec(x) - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13, f"{err:.3e}"
 
 
 def _sweep(layout, port, freqs, max_segment_length, **kwargs):

@@ -185,6 +185,11 @@ class TestOperatorStore:
         loaded = load_operator("beefcafe")
         assert loaded is not operator  # rebuilt from disk
         assert np.array_equal(loaded.to_dense(), operator.to_dense())
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(operator.n) + 1j * rng.standard_normal(
+            operator.n
+        )
+        assert np.array_equal(loaded.matvec(x), operator.matvec(x))
         assert loaded.params == operator.params
         assert loaded.aca_fallbacks == operator.aca_fallbacks
         assert operator_cache_stats()["disk_hits"] >= 1
