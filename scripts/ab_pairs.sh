@@ -10,11 +10,14 @@
 # with its own `src/` and the `BENCHMARK.json` run length, alternating
 # which side runs first so that drift in the host's load falls on both
 # sides.  Then it runs one traced repetition (`--trace 1 --seconds 0`,
-# FIRST_SEED) of each workload on each side, for the per-layer table.
-# Records go to `ab_parent.jsonl` and `ab_change.jsonl` under AB_OUT
-# (default: a new temporary directory); at the end it prints
-# `compare.py`'s table of medians, quartiles and verdicts, and the
-# per-layer medians of the traced records.
+# FIRST_SEED) of each workload on each side, for the per-layer table,
+# and one untimed seed-0 repetition (`workloads.py --mode measure
+# --seconds 0`) of each workload on each side, whose output summaries it
+# compares.  Records go to `ab_parent.jsonl` and `ab_change.jsonl` under
+# AB_OUT (default: a new temporary directory); at the end it prints
+# `compare.py`'s table of medians, quartiles and verdicts, the
+# per-layer medians of the traced records, and per workload whether the
+# seed-0 outputs are `byte-identical` or their `max_rel_diff`.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
@@ -36,6 +39,17 @@ mkdir -p "$out"
 run() {  # run SIDE_DIR OUT_FILE WORKLOAD SEED [RUN_PY_ARG...]
     (cd "$1" && python3 benchmarks/e2e/run.py --workload "$3" --seed "$4" \
         --out "$2" "${@:5}" > /dev/null)
+}
+
+seed0() {  # seed0 SIDE_DIR WORKLOAD OUT_FILE: one seed-0 result line
+    # The environment of run.py's children: no REPRO_* knobs, one BLAS
+    # thread, the side's own src/.
+    (cd "$1" && for var in $(compgen -e | grep '^REPRO_' || true); do
+        unset "$var"
+    done
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+        MKL_NUM_THREADS=1 python3 benchmarks/e2e/workloads.py \
+        --workload "$2" --seed 0 --seconds 0 --mode measure | tail -n 1 > "$3")
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -60,6 +74,32 @@ for workload in "${workloads[@]}"; do
         --trace 1 --seconds 0
 done
 
+for workload in "${workloads[@]}"; do
+    echo "seed-0 outputs  $workload" >&2
+    seed0 "$parent" "$workload" "$out/seed0_parent_$workload.json"
+    seed0 "$change" "$workload" "$out/seed0_change_$workload.json"
+done
+
 echo "records: $out/ab_parent.jsonl $out/ab_change.jsonl" >&2
 python3 "$change/benchmarks/e2e/compare.py" \
     "$out/ab_parent.jsonl" "$out/ab_change.jsonl"
+(cd "$change" && PYTHONPATH=src python3 - "$out" "${workloads[@]}" <<'EOF'
+import json
+import sys
+
+sys.path.insert(0, "benchmarks/e2e")
+from workloads import max_rel_diff
+
+out = sys.argv[1]
+print()
+for workload in sys.argv[2:]:
+    parent, change = (
+        json.load(open(f"{out}/seed0_{side}_{workload}.json"))["outputs"]
+        for side in ("parent", "change"))
+    if json.dumps(parent) == json.dumps(change):
+        verdict = "byte-identical"
+    else:
+        verdict = f"max_rel_diff {max_rel_diff(change, parent):.3e}"
+    print(f"seed-0 outputs  {workload:<16} {verdict}")
+EOF
+)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.circuit.linalg import add_gmin
 from repro.obs.trace import span
@@ -127,6 +128,7 @@ def ac_analysis(
     with span(
         "circuit.ac", points=len(freqs), size=system.size,
         workers=workers if len(freqs) > 1 else 1,
+        format="sparse" if sp.issparse(g_matrix) else "dense",
     ):
         spec = SweepSpec(
             g_matrix=g_matrix, c_matrix=c_matrix, b=b,
@@ -175,6 +177,7 @@ def ac_impedance(
     with span(
         "circuit.ac.impedance", points=len(freqs), size=system.size,
         workers=workers if len(freqs) > 1 else 1,
+        format="sparse" if sp.issparse(g_matrix) else "dense",
     ):
         spec = SweepSpec(
             g_matrix=g_matrix, c_matrix=c_matrix, b=b,

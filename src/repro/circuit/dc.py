@@ -15,11 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.circuit.linalg import (
-    Factorization,
     ResilientFactorization,
     SingularCircuitError,
     add_gmin,
-    solve_matrices,
 )
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import Circuit
@@ -86,23 +84,28 @@ def _newton(
     policy: ResiliencePolicy | None = None,
 ) -> np.ndarray:
     x = x0.copy()
-    dense = not hasattr(g_matrix, "tocsc")
+    sparse = sp.issparse(g_matrix)
     residual_history: list[float] = []
     last_step: float | None = None
     iterations = obs_metrics.counter("newton.iterations.dc")
     for _ in range(max_iter):
         iterations.inc()
-        f, jac_dev = system.eval_devices(x)
+        if sparse:
+            # The device stamps go in as a sparse update: no n x n array.
+            f, (rows, cols, vals) = system.eval_devices_triplets(x)
+        else:
+            f, jac_dev = system.eval_devices(x)
         residual = g_matrix @ x + f - b
         norm = float(np.max(np.abs(residual)))
         residual_history.append(norm)
         if norm < tol:
             return x
-        if dense:
-            jacobian = g_matrix + jac_dev
+        if sparse:
+            jacobian = g_matrix + sp.coo_matrix(
+                (vals, (rows, cols)), shape=g_matrix.shape
+            )
         else:
-            jacobian = (g_matrix + jac_dev) if jac_dev is not None else g_matrix
-            jacobian = np.asarray(jacobian)
+            jacobian = g_matrix + jac_dev
         delta = ResilientFactorization(
             jacobian, site="dc.newton", policy=policy
         ).solve(-residual)
@@ -112,7 +115,7 @@ def _newton(
             step = damping_limit
         last_step = step
         x = x + delta
-    f, _ = system.eval_devices(x)
+    f, _ = system.eval_devices_triplets(x)
     residual = g_matrix @ x + f - b
     norm = float(np.max(np.abs(residual)))
     residual_history.append(norm)
@@ -158,7 +161,7 @@ def dc_operating_point(
     """
     system = _as_system(circuit_or_system)
     if not system.has_devices:
-        g_matrix, _ = solve_matrices(*system.build_matrices())
+        g_matrix, _ = system.build_matrices()
         return linear_dc(system, g_matrix, t, gmin, policy)
     with span("circuit.dc", size=system.size, nonlinear=True):
         return _dc_solve(system, t, gmin, tol, max_iter, x0, policy)
@@ -171,9 +174,9 @@ def linear_dc(
     """DC point of a circuit without devices: one solve of
     ``(G + gmin) x = b(t)``.
 
-    ``g_matrix`` is G as :func:`~repro.circuit.linalg.solve_matrices`
-    gives it, so the DC point factors dense or sparse like the
-    transient's companion matrices.
+    ``g_matrix`` is G as :meth:`MNASystem.build_matrices` gives it, so
+    the DC point factors dense or sparse like the transient's companion
+    matrices.
     """
     with span("circuit.dc", size=system.size, nonlinear=False) as dc_span:
         g_dc = add_gmin(g_matrix, system.n, gmin)

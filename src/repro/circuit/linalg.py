@@ -4,10 +4,10 @@ Wraps dense LU (scipy.linalg) and sparse LU (SuperLU via scipy.sparse)
 behind one interface so the DC/AC/transient engines don't care which
 matrix format :meth:`MNASystem.build_matrices` chose.  Every sparse LU
 in the program is :func:`sparse_lu`, and :func:`sparse_pays` is the one
-rule that sends a dense-built linear system to it
-(:func:`solve_matrices`).  Every LU factor, dense or sparse, runs on one
-BLAS thread (:func:`~repro.circuit.blas.one_blas_thread`), and so do
-the Krylov rung's GMRES iterations.
+rule that picks the format, applied where the matrices are built.
+Every LU factor, dense or sparse, runs on one BLAS thread
+(:func:`~repro.circuit.blas.one_blas_thread`), and so do the Krylov
+rung's GMRES iterations.
 
 On top of the raw :class:`Factorization` sits the solver **escalation
 chain** (:class:`ResilientFactorization`): direct LU, then equilibrated
@@ -22,22 +22,16 @@ accept a solution whose residual against the *original* matrix passes
 inconsistent system still raises :class:`SingularCircuitError` no
 matter how far the chain runs.
 
-Two further pieces serve the sweep engines:
-
-* the **matrix-free Krylov tier**: an :class:`OperatorSystem` wraps
-  ``A = G + sigma C`` as a matvec plus a sparse near-field surrogate of
-  ``A``; handing one to :class:`ResilientFactorization` prepends a
-  ``"krylov"`` rung (preconditioned GMRES) to the chain, and stagnation
-  falls back to the dense direct rungs -- recorded as a RunReport
-  downgrade -- by materializing the operator exactly once.  The
-  hierarchical loop sweep's mesh inductance is its one producer;
-* the **union sweep pattern**: :class:`SweepPattern` preassembles the
-  union CSC sparsity of (G, C) once and rebuilds ``G + j omega C`` /
-  ``alpha C + G`` per point by writing a fresh data vector -- entry-wise
-  the same arithmetic scipy's sparse add performs, so results stay
-  bit-identical to the naive per-point construction.
-  :class:`SweepAssembler` dispatches dense / sparse / matrix-free
-  inputs to the right per-point construction.
+The sweep engines build their per-point systems with
+:class:`SweepAssembler`: ``G + j omega C`` / ``alpha C + G`` as plain
+dense or sparse arithmetic, or, for a matrix-free C, the
+**matrix-free Krylov tier**: an :class:`OperatorSystem` wraps
+``A = G + sigma C`` as a matvec plus a sparse near-field surrogate of
+``A``; handing one to :class:`ResilientFactorization` prepends a
+``"krylov"`` rung (preconditioned GMRES) to the chain, and stagnation
+falls back to the dense direct rungs -- recorded as a RunReport
+downgrade -- by materializing the operator exactly once.  The
+hierarchical loop sweep's mesh inductance is its one producer.
 """
 
 from __future__ import annotations
@@ -130,31 +124,16 @@ def sparse_lu(matrix) -> spla.SuperLU:
 def sparse_pays(g_matrix, c_matrix) -> bool:
     """Whether ``alpha C + G`` is multiplied and factored sparse.
 
-    True for sparse input, and for dense input whose G and C together
-    store, with :data:`SPARSE_ALLOWANCE` for the sparse calls' fixed
-    cost, at most an eighth of n^2 entries.  A dense product or LU
-    touches all n^2 entries; the sparse ones touch only the stored
-    entries (and the factor's fill), at several times the cost per
-    entry: dense wins for small or filled systems, sparse for large
-    sparse ones.
+    True when the CSR pair G and C stores, with
+    :data:`SPARSE_ALLOWANCE` for the sparse calls' fixed cost, at most an
+    eighth of n^2 entries.  A dense product or LU touches all n^2
+    entries; the sparse ones touch only the stored entries (and the
+    factor's fill), at several times the cost per entry: dense wins for
+    small or filled systems, sparse for large sparse ones.
     """
-    if sp.issparse(g_matrix):
-        return True
     n = g_matrix.shape[0]
-    stored = np.count_nonzero(g_matrix) + np.count_nonzero(c_matrix)
+    stored = g_matrix.nnz + c_matrix.nnz
     return 8 * (stored + SPARSE_ALLOWANCE) <= n * n
-
-
-def solve_matrices(g_matrix, c_matrix) -> tuple:
-    """``(G, C)`` in the format that multiplies and factors them.
-
-    CSR copies of dense-built matrices when :func:`sparse_pays`, the
-    matrices themselves otherwise.  The linear DC point and transient
-    both take their matrices from here.
-    """
-    if sp.issparse(g_matrix) or not sparse_pays(g_matrix, c_matrix):
-        return g_matrix, c_matrix
-    return sp.csr_matrix(g_matrix), sp.csr_matrix(c_matrix)
 
 
 class Factorization:
@@ -807,90 +786,13 @@ def resilient_solve(
 # -- sweep assembly ----------------------------------------------------------
 
 
-class SweepPattern:
-    """Union CSC pattern of (G, C), assembled once per sweep.
-
-    The serial sweep loops used to rebuild ``(G + 1j*omega*C).tocsc()``
-    from scratch at every frequency -- a structural merge plus a CSR->CSC
-    conversion whose cost rivals the solve for well-conditioned systems.
-    This class does the merge once: the union sparsity (stored-zero
-    entries dropped, exactly as scipy's binary ops drop exact-zero
-    results) with G's and C's values scattered onto it, so each point
-    only computes a fresh data vector.
-
-    Bit-identity with the naive construction holds because the per-entry
-    arithmetic is the same IEEE operations in the same order: scipy
-    computes ``g + (1j*omega)*c`` entry-wise over the union, and float
-    addition is commutative.  The one structural exception is
-    ``omega == 0``, where scipy prunes the C-only entries (``1j*0*c``
-    collapses to exact zero); :meth:`at_omega` special-cases it to the
-    legacy construction.
-    """
-
-    def __init__(self, g_matrix: sp.spmatrix, c_matrix: sp.spmatrix) -> None:
-        if g_matrix.shape != c_matrix.shape:
-            raise ValueError(
-                f"G/C shape mismatch: {g_matrix.shape} vs {c_matrix.shape}"
-            )
-        self._g = g_matrix.tocsr()
-        self._c = c_matrix.tocsr()
-        self.shape = g_matrix.shape
-        nr, nc = self.shape
-        g_coo = self._g.tocoo()
-        c_coo = self._c.tocoo()
-        g_keep = g_coo.data != 0.0
-        c_keep = c_coo.data != 0.0
-        g_keys = (
-            g_coo.col[g_keep].astype(np.int64) * nr
-            + g_coo.row[g_keep].astype(np.int64)
-        )
-        c_keys = (
-            c_coo.col[c_keep].astype(np.int64) * nr
-            + c_coo.row[c_keep].astype(np.int64)
-        )
-        # Sorted unique keys in (col, row) order == canonical CSC layout.
-        union, inverse = np.unique(
-            np.concatenate([g_keys, c_keys]), return_inverse=True
-        )
-        self._indices = (union % nr).astype(np.int32)
-        counts = np.bincount((union // nr).astype(np.intp), minlength=nc)
-        self._indptr = np.zeros(nc + 1, dtype=np.int32)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._g_data = np.zeros(union.size)
-        self._g_data[inverse[: g_keys.size]] = g_coo.data[g_keep]
-        self._c_data = np.zeros(union.size)
-        self._c_data[inverse[g_keys.size:]] = c_coo.data[c_keep]
-
-    def _assemble(self, data: np.ndarray) -> sp.csc_matrix:
-        mat = sp.csc_matrix(
-            (data, self._indices, self._indptr), shape=self.shape, copy=False
-        )
-        mat.has_sorted_indices = True
-        return mat
-
-    def at_omega(self, omega: float) -> sp.csc_matrix:
-        """``(G + 1j*omega*C)`` in CSC, bit-identical to the naive build."""
-        if omega == 0.0:
-            # scipy prunes the C-only entries at omega = 0; keep the
-            # legacy structure so downstream factors match bitwise.
-            return (self._g + 1j * omega * self._c).tocsc()
-        return self._assemble(self._g_data + (1j * omega) * self._c_data)
-
-    def at_alpha(self, alpha: float) -> sp.csc_matrix:
-        """``(alpha*C + G)`` in CSC for companion-matrix sweeps."""
-        if alpha == 0.0:
-            return (alpha * self._c + self._g).tocsc()
-        return self._assemble(self._g_data + alpha * self._c_data)
-
-
 class SweepAssembler:
     """Per-point system assembly for dense / sparse / matrix-free sweeps.
 
     One object per sweep, built from its (G, C):
 
-    * dense arrays -> plain dense arithmetic;
-    * sparse matrices -> :class:`SweepPattern` data updates
-      (bit-identical, no per-point structural merge);
+    * dense arrays or CSR matrices -> plain arithmetic in that format,
+      as :meth:`MNASystem.build_matrices` gave it;
     * any other C is matrix-free: it exposes ``near_sparse()`` (its
       exact near field, sparse), ``far_matvec`` (the product of the
       rest) and ``to_dense()``, as the hierarchical loop sweep's mesh
@@ -906,18 +808,12 @@ class SweepAssembler:
     def __init__(self, g_matrix, c_matrix) -> None:
         self._g = g_matrix
         self._c = c_matrix
-        if not (isinstance(c_matrix, np.ndarray) or sp.issparse(c_matrix)):
-            self.mode = "operator"
-            g_sparse = g_matrix.tocsr() if sp.issparse(g_matrix) else (
-                sp.csr_matrix(np.asarray(g_matrix))
-            )
-            self._g = g_sparse
-            self._near = SweepPattern(g_sparse, c_matrix.near_sparse())
-        elif sp.issparse(g_matrix):
-            self.mode = "sparse"
-            self._pattern = SweepPattern(g_matrix, c_matrix)
+        if isinstance(c_matrix, np.ndarray) or sp.issparse(c_matrix):
+            self.mode = "sparse" if sp.issparse(g_matrix) else "dense"
         else:
-            self.mode = "dense"
+            self.mode = "operator"
+            self._g = sp.csr_matrix(g_matrix)
+            self._near = c_matrix.near_sparse()
 
     @property
     def size(self) -> int:
@@ -925,12 +821,10 @@ class SweepAssembler:
 
     def at_omega(self, omega: float):
         """The AC system ``G + j omega C`` for one frequency point."""
-        if self.mode == "dense":
+        if self.mode != "operator":
             return self._g + 1j * omega * self._c
-        if self.mode == "sparse":
-            return self._pattern.at_omega(omega)
         g, c = self._g, self._c
-        near = self._near.at_omega(omega)
+        near = (g + 1j * omega * self._near).tocsc()
 
         def matvec(x: np.ndarray) -> np.ndarray:
             return near @ x + (1j * omega) * c.far_matvec(x)
@@ -949,6 +843,4 @@ class SweepAssembler:
 
     def at_alpha(self, alpha: float):
         """The companion system ``alpha C + G`` for one step size."""
-        if self.mode == "dense":
-            return alpha * self._c + self._g
-        return self._pattern.at_alpha(alpha)
+        return alpha * self._c + self._g

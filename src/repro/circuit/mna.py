@@ -11,10 +11,10 @@ convention (node rows get ``+A i_branch``; branch rows get ``-A^T v``), so
 that ``G + G^T >= 0`` and ``C >= 0`` hold for RLC circuits -- exactly the
 structure PRIMA's congruence transforms need to preserve passivity.
 
-Dense partial-inductance blocks are kept as dense sub-blocks; everything
-else is sparse.  :meth:`MNASystem.build_matrices` materializes either
-dense numpy arrays (small/full-PEEC systems) or scipy CSR (large
-sparsified systems).
+:meth:`MNASystem.build_matrices` sums every stamp, the dense
+partial-inductance blocks included, into CSR and keeps it when
+:func:`~repro.circuit.linalg.sparse_pays`, else hands back dense
+copies: the one format every analysis reads.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.circuit import linalg
 from repro.circuit.netlist import Circuit
 
 
@@ -74,7 +75,7 @@ class MNASystem:
             )
             for dev in circuit.devices
         ]
-        self._cache: dict[str, tuple] = {}
+        self._matrices: tuple | None = None
 
     # -- indexing ------------------------------------------------------------
 
@@ -248,85 +249,67 @@ class MNASystem:
             k += 1
         return gr, gc, gv, cr, cc, cv, dense_blocks
 
-    def build_matrices(self, fmt: str = "auto") -> tuple:
-        """Assemble (G, C) in the requested format.
+    def build_matrices(self) -> tuple:
+        """Assemble (G, C) in the format that multiplies and factors them.
 
-        Args:
-            fmt: ``"dense"`` (numpy arrays), ``"sparse"`` (scipy CSR), or
-                ``"auto"`` -- dense when the system is small or dominated
-                by dense inductance blocks, sparse otherwise.
+        Every stamp, dense inductance blocks included, is summed into CSR
+        in stamp order from 0.0 -- the order of a dense accumulation --
+        and exact zeros are dropped.  The CSR pair comes back when
+        :func:`~repro.circuit.linalg.sparse_pays`, its ``toarray()``
+        copies otherwise.  Built once per system.
 
         Returns:
             (G, C) matrices of shape (size, size).
         """
-        if fmt not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown format {fmt!r}")
-        if fmt == "auto":
-            dense_elems = sum(b.size for _, b in self._matrix_blocks())
-            fmt = (
-                "dense"
-                if self.size <= 2500 or dense_elems > 0.05 * self.size**2
-                else "sparse"
-            )
-        if fmt in self._cache:
-            return self._cache[fmt]
-        gr, gc, gv, cr, cc, cv, dense_blocks = self._stamp_entries()
-        shape = (self.size, self.size)
-        g_coo = sp.coo_matrix((gv, (gr, gc)), shape=shape)
-        c_coo = sp.coo_matrix((cv, (cr, cc)), shape=shape)
-        if fmt == "dense":
-            g = g_coo.toarray()
-            c = c_coo.toarray()
+        if self._matrices is None:
+            gr, gc, gv, cr, cc, cv, dense_blocks = self._stamp_entries()
+            c_parts = [(cr, cc, cv)]
             for off, block in dense_blocks:
-                c[off : off + block.shape[0], off : off + block.shape[1]] += block
-        else:
-            g = g_coo.tocsr()
-            c = c_coo.tocsr()
-            if dense_blocks:
-                c = (c + self._dense_blocks_coo(dense_blocks, shape)).tocsr()
-        self._cache[fmt] = (g, c)
-        self._record_matrix_metrics(fmt, g, c)
-        return g, c
+                rows, cols = np.nonzero(block)
+                c_parts.append((rows + off, cols + off, block[rows, cols]))
+            g = self._summed_csr(gr, gc, gv)
+            c = self._summed_csr(*(np.concatenate(p) for p in zip(*c_parts)))
+            nnz = g.nnz + c.nnz
+            sparse = linalg.sparse_pays(g, c)
+            if not sparse:
+                g, c = g.toarray(), c.toarray()
+            self._matrices = (g, c)
+            self._record_matrix_metrics(nnz, sparse)
+        return self._matrices
 
-    @staticmethod
-    def _dense_blocks_coo(
-        dense_blocks: list[tuple[int, np.ndarray]],
-        shape: tuple[int, int],
-    ) -> sp.coo_matrix:
-        rows, cols, vals = [], [], []
-        for off, block in dense_blocks:
-            nz = np.nonzero(block)
-            rows.append(nz[0] + off)
-            cols.append(nz[1] + off)
-            vals.append(block[nz])
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape,
+    def _summed_csr(self, rows, cols, vals) -> sp.csr_matrix:
+        """CSR of COO triplets, duplicates summed in triplet order."""
+        n = self.size
+        keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(
+            cols, dtype=np.int64
         )
+        # The stable sort keeps each key's values in triplet order, and
+        # bincount adds them in that order, from 0.0.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        data = np.bincount(
+            np.cumsum(first) - 1, weights=np.asarray(vals, dtype=float)[order]
+        )
+        keys = keys[first]
+        keep = data != 0.0
+        keys, data = keys[keep], data[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return sp.csr_matrix((data, keys % n, indptr), shape=(n, n))
 
-    def _record_matrix_metrics(self, fmt: str, g, c) -> None:
+    def _record_matrix_metrics(self, nnz: int, sparse: bool) -> None:
         """Publish MNA size / nnz / density gauges (paper Table 1)."""
         from repro.obs import metrics as obs_metrics
 
         size = self.size
-        if sp.issparse(g):
-            nnz = int(g.nnz + c.nnz)
-        else:
-            nnz = int(np.count_nonzero(g) + np.count_nonzero(c))
         obs_metrics.gauge("mna.size").set(size)
         obs_metrics.gauge("mna.nnz").set(nnz)
         obs_metrics.gauge("mna.density").set(
             nnz / (2.0 * size * size) if size else 0.0
         )
-        obs_metrics.gauge("mna.sparse").set(1.0 if sp.issparse(g) else 0.0)
-
-    def _matrix_blocks(self) -> list[tuple[int, np.ndarray]]:
-        blocks = []
-        off = self._l_offset + len(self.circuit.inductors)
-        for lset in self.circuit.inductor_sets:
-            blocks.append((off, lset.matrix))
-            off += lset.size
-        return blocks
+        obs_metrics.gauge("mna.sparse").set(1.0 if sparse else 0.0)
 
     # -- right-hand side ---------------------------------------------------------
 

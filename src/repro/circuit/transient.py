@@ -10,7 +10,7 @@ circuits step the whole run as one **block**: the companion matrix
 ``alpha C + G`` is factored once per step size through the escalation
 chain, and every source is sampled once over the time grid.  G and C
 are multiplied and factored dense or sparse as
-:func:`~repro.circuit.linalg.solve_matrices` gives them.  In a dense
+:meth:`~repro.circuit.mna.MNASystem.build_matrices` gives them.  In a dense
 system, a step kind (backward Euler or trapezoidal) that the run takes
 at least as many times as there are unknowns steps as a precomputed
 linear map ``x <- P x + f_k`` (:func:`_propagates`); every other step is
@@ -44,7 +44,6 @@ from repro.circuit.linalg import (
     ResilientFactorization,
     SingularCircuitError,
     SweepAssembler,
-    solve_matrices,
 )
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import Circuit
@@ -211,7 +210,7 @@ class _BlockStepper:
     def __init__(self, system, g_matrix, c_matrix, times, indices,
                  kinds) -> None:
         #: Format of the step-product matrices, as
-        #: :func:`~repro.circuit.linalg.solve_matrices` chose it.
+        #: :meth:`MNASystem.build_matrices` chose it.
         self.product = "csr" if sp.issparse(g_matrix) else "dense"
         steps: dict[bool, int] = {}
         for first, stop, use_be in kinds:
@@ -349,8 +348,6 @@ def transient_analysis(
     if report is None:
         report = RunReport()
     g_matrix, c_matrix = system.build_matrices()
-    if not system.has_devices:
-        g_matrix, c_matrix = solve_matrices(g_matrix, c_matrix)
     sparse = sp.issparse(g_matrix)
 
     num_steps = int(round(t_stop / dt))
@@ -395,10 +392,9 @@ def transient_analysis(
         nonlocal rung_used
         factor = factors.get(alpha)
         if factor is None or factor.exhausted:
-            # The union pattern is shared across all alphas; the
-            # factorization is cached per alpha.  A chain whose every
-            # rung failed is rebuilt, not kept: one bad solve must not
-            # fail every later step at this alpha.
+            # The factorization is cached per alpha.  A chain whose
+            # every rung failed is rebuilt, not kept: one bad solve must
+            # not fail every later step at this alpha.
             with span(
                 "circuit.transient.factor", size=system.size,
                 format=assembler.mode, alpha=float(alpha),

@@ -235,6 +235,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         config = SupervisorConfig.from_env(
             deadline=args.deadline, time_budget=args.time_budget
         )
+        # Checks REPRO_CACHE_SIZE; in a fresh process the import itself
+        # raises, as the cache is sized at import.
+        from repro.perf.cache import cache_size
+
+        cache_size()
     except ValueError as exc:
         print(f"sweep: {exc}")
         return 2

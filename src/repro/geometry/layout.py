@@ -284,24 +284,6 @@ class Layout:
             (via.x, via.y, top.z_center),
         )
 
-    def connectivity_graph(self) -> nx.Graph:
-        """Electrical connectivity graph: quantized points as nodes.
-
-        Segment terminals and via endpoints become graph nodes; each segment
-        and via contributes an edge.  Used to validate that generated
-        layouts are internally connected per net.
-        """
-        graph = nx.Graph()
-        for seg in self.segments:
-            a, b = seg.endpoints()
-            graph.add_edge(quantize_point(a), quantize_point(b),
-                           kind="segment", name=seg.name, net=seg.net)
-        for via in self.vias:
-            a, b = self.via_endpoints(via)
-            graph.add_edge(quantize_point(a), quantize_point(b),
-                           kind="via", name=via.name, net=via.net)
-        return graph
-
     def net_is_connected(self, net: str) -> bool:
         """True when all segments/vias of ``net`` form one connected piece."""
         graph = nx.Graph()

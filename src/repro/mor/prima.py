@@ -240,8 +240,12 @@ def prima_reduce(
             "and re-attach them to the reduced macromodel's ports"
         )
     inputs = list(inputs)
-    with span("mor.prima", size=system.size, order=order, ports=len(inputs)):
-        return _prima_project(system, inputs, order, outputs, s0_hz, drop_tol)
+    with span(
+        "mor.prima", size=system.size, order=order, ports=len(inputs)
+    ) as prima_span:
+        return _prima_project(
+            system, inputs, order, outputs, s0_hz, drop_tol, prima_span.attrs
+        )
 
 
 def _prima_project(
@@ -251,15 +255,17 @@ def _prima_project(
     outputs,
     s0_hz: float,
     drop_tol: float,
+    attrs: dict,
 ) -> ReducedOrderModel:
     g_matrix, c_matrix = system.build_matrices()
     b = input_matrix(system, list(inputs))
 
     s0 = 2.0 * np.pi * s0_hz
-    shifted = g_matrix + s0 * c_matrix
-    if sp.issparse(shifted):
-        shifted = shifted.tocsc()
-    solver = Factorization(shifted)
+    solver = Factorization(g_matrix + s0 * c_matrix)
+    attrs.update(
+        format="sparse" if sp.issparse(g_matrix) else "dense",
+        factor_nnz=solver.nnz,
+    )
 
     def solve_block(m: np.ndarray) -> np.ndarray:
         return np.column_stack([solver.solve(m[:, j]) for j in range(m.shape[1])])

@@ -112,17 +112,6 @@ class PEECModel:
         self.node_info = node_info
         self._terminals = terminals
 
-    def node_at_point(self, point: tuple[float, float, float]) -> str:
-        """Circuit node at an exact geometric point (raises if absent)."""
-        key = quantize_point(point)
-        try:
-            return self._node_by_point[key]
-        except KeyError:
-            raise KeyError(
-                f"no circuit node at {point}; use node_at() for nearest-"
-                "terminal lookup"
-            ) from None
-
     def node_at(self, tap: TapPoint, tolerance: float = 1e-6) -> str:
         """Circuit node nearest to a tap point on the tap's net.
 

@@ -146,17 +146,28 @@ def fingerprint_layout(layout, params: dict[str, Any] | None = None) -> str:
 # -- the extraction cache ----------------------------------------------------
 
 
-def _default_size() -> int:
+def cache_size() -> int:
+    """Entries of each in-process tier: ``REPRO_CACHE_SIZE``, else 32.
+
+    A malformed or non-positive value raises :class:`ValueError` naming
+    the variable, as :func:`~repro.resilience.supervisor.worker_count`
+    does for ``REPRO_WORKERS``.
+    """
     raw = os.environ.get("REPRO_CACHE_SIZE", "").strip()
     if not raw:
         return 32
-    size = int(raw)
+    try:
+        size = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_CACHE_SIZE must be an integer, got {raw!r}"
+        ) from None
     if size < 1:
         raise ValueError(f"REPRO_CACHE_SIZE must be >= 1, got {size}")
     return size
 
 
-_MEMO = LRUCache(_default_size())
+_MEMO = LRUCache(cache_size())
 _DISK_HITS = 0
 _DISK_MISSES = 0
 
@@ -246,7 +257,7 @@ def store_matrix(digest: str, matrix: np.ndarray) -> None:
 # leaf_size, close-pair params), so the two tiers can never alias: a
 # different knob is a different digest is a different file.
 
-_OP_MEMO = LRUCache(_default_size())
+_OP_MEMO = LRUCache(cache_size())
 _OP_DISK_HITS = 0
 _OP_DISK_MISSES = 0
 
@@ -422,6 +433,7 @@ __all__ = [
     "fingerprint_layout",
     "cache_enabled",
     "cache_dir",
+    "cache_size",
     "load_matrix",
     "store_matrix",
     "load_operator",

@@ -109,8 +109,8 @@ class SweepSpec:
     )
 
     def assembler(self) -> SweepAssembler:
-        """The sweep assembler (union pattern / operator wrapper), built
-        once per spec copy and reused across that copy's points."""
+        """The sweep assembler, built once per spec copy and reused
+        across that copy's points."""
         if self._assembler is None:
             self._assembler = SweepAssembler(self.g_matrix, self.c_matrix)
         return self._assembler

@@ -643,10 +643,9 @@ QA208 = register(Rule(
     docs="""\
 The matrix-free solve tier removed every per-step
 ``.todense()``/``.toarray()`` from the AC/transient/extraction paths:
-sweeps update a preassembled sparse pattern in place, transient Newton
-stamps the device Jacobian as a sparse update, and the hierarchical
-loop sweep applies its mesh inductance as a product of the compressed
-operator, solved by the preconditioned ``krylov`` rung.  A densify
+transient Newton stamps the device Jacobian as a sparse update, and the
+hierarchical loop sweep applies its mesh inductance as a product of the
+compressed operator, solved by the preconditioned ``krylov`` rung.  A densify
 call reappearing in one of those modules almost always means a
 convenience conversion snuck back onto a loop that runs once per
 frequency point or Newton iteration, costing O(n^2) memory exactly at

@@ -184,7 +184,7 @@ class Sanitizer:
         if (circuit.k_sets or circuit.macromodels or circuit.devices
                 or not self._full_state(result)):
             return
-        g_matrix, c_matrix = system.build_matrices()
+        _, c_matrix = system.build_matrices()
         cx = c_matrix @ result.data.T
         energy = 0.5 * np.einsum("ts,st->t", result.data, cx)
         source_free = np.array(
@@ -228,9 +228,9 @@ class Sanitizer:
         if self.policy.check_spd:
             original_build = MNASystem.build_matrices
 
-            def build_matrices(self, fmt: str = "auto"):
+            def build_matrices(self):
                 guard._check_circuit_blocks(self)
-                return original_build(self, fmt)
+                return original_build(self)
 
             self._patch(MNASystem, "build_matrices", build_matrices)
 

@@ -1,19 +1,19 @@
-"""SweepPattern: preassembled union-CSC sweeps must be bit-identical.
+"""SweepAssembler: per-point sweep systems are the plain expressions.
 
-The serial AC / companion sweeps used to rebuild ``(G + 1j*omega*C)``
-(structural merge + CSR->CSC conversion) at every point; SweepPattern
-does the merge once and only refreshes the data vector.  These tests
-pin the contract that made the swap safe: the produced CSC matrix is
-*bit-identical* to the naive construction -- same structure arrays,
-same data bits -- at every sweep point, including the pruning edge
-cases (stored zeros, omega == 0).
+The AC and companion sweeps build ``G + 1j*omega*C`` and ``alpha*C + G``
+per point with plain dense or sparse arithmetic, in the format
+``build_matrices()`` gave.  These tests pin that a sparse point system
+factors from the CSC matrix the naive construction gives -- same
+structure arrays, same data bits -- at every sweep point, including the
+pruning edge cases (stored zeros, omega == 0), and that dense input
+stays dense arithmetic.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.circuit.linalg import SweepAssembler, SweepPattern
+from repro.circuit.linalg import SweepAssembler
 
 
 def _random_gc(n=30, density=0.12, seed=0, stored_zeros=False):
@@ -24,7 +24,7 @@ def _random_gc(n=30, density=0.12, seed=0, stored_zeros=False):
     c = c.tocsr()
     if stored_zeros:
         # Explicit zeros survive tocsr() but scipy's binary ops prune
-        # them; the pattern must reproduce that pruning.
+        # them, and so do the point systems.
         g = g.copy()
         g.data[:3] = 0.0
         c = c.copy()
@@ -33,7 +33,8 @@ def _random_gc(n=30, density=0.12, seed=0, stored_zeros=False):
 
 
 def _assert_bit_identical(built, legacy):
-    assert built.format == legacy.format == "csc"
+    built = built.tocsc()
+    assert legacy.format == "csc"
     np.testing.assert_array_equal(built.indptr, legacy.indptr)
     np.testing.assert_array_equal(built.indices, legacy.indices)
     assert built.data.tobytes() == legacy.data.tobytes()
@@ -43,43 +44,43 @@ class TestAtOmega:
     @pytest.mark.parametrize("omega", [1.0, 2 * np.pi * 1e9, 1e-3, 1e12])
     def test_bit_identical_to_naive_build(self, omega):
         g, c = _random_gc()
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_omega(omega), (g + 1j * omega * c).tocsc()
+            assembler.at_omega(omega), (g + 1j * omega * c).tocsc()
         )
 
     def test_stored_zeros_are_pruned_like_scipy(self):
         g, c = _random_gc(stored_zeros=True)
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_omega(3.0), (g + 3.0j * c).tocsc()
+            assembler.at_omega(3.0), (g + 3.0j * c).tocsc()
         )
 
     def test_omega_zero_matches_legacy_structure(self):
         # scipy prunes the C-only entries at omega = 0 (1j*0*c collapses
-        # to exact zero); the pattern must reproduce that structure so
+        # to exact zero); the point system keeps that structure, so
         # downstream factorizations match bitwise.
         g, c = _random_gc(seed=4)
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_omega(0.0), (g + 0.0j * c).tocsc()
+            assembler.at_omega(0.0), (g + 0.0j * c).tocsc()
         )
 
     def test_disjoint_patterns(self):
         n = 10
         g = sp.diags([2.0] * n).tocsr()
         c = sp.diags([1.0] * (n - 1), offsets=1).tocsr()
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_omega(7.0), (g + 7.0j * c).tocsc()
+            assembler.at_omega(7.0), (g + 7.0j * c).tocsc()
         )
 
     def test_many_points_share_one_pattern(self):
         g, c = _random_gc(seed=8)
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         for omega in np.logspace(3, 11, 9):
             _assert_bit_identical(
-                pattern.at_omega(float(omega)),
+                assembler.at_omega(float(omega)),
                 (g + 1j * float(omega) * c).tocsc(),
             )
 
@@ -88,24 +89,20 @@ class TestAtAlpha:
     @pytest.mark.parametrize("alpha", [1.0, 2.0 / 1e-12, 1e-9])
     def test_bit_identical_to_naive_build(self, alpha):
         g, c = _random_gc(seed=2)
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_alpha(alpha), (alpha * c + g).tocsc()
+            assembler.at_alpha(alpha), (alpha * c + g).tocsc()
         )
 
     def test_alpha_zero_matches_legacy_structure(self):
         g, c = _random_gc(seed=5)
-        pattern = SweepPattern(g, c)
+        assembler = SweepAssembler(g, c)
         _assert_bit_identical(
-            pattern.at_alpha(0.0), (0.0 * c + g).tocsc()
+            assembler.at_alpha(0.0), (0.0 * c + g).tocsc()
         )
 
 
 class TestSweepAssembler:
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            SweepPattern(sp.eye(3).tocsr(), sp.eye(4).tocsr())
-
     def test_dense_mode_is_plain_arithmetic(self):
         g = np.eye(4)
         c = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -118,10 +115,21 @@ class TestSweepAssembler:
             assembler.at_alpha(3.0), 3.0 * c + g
         )
 
-    def test_sparse_mode_uses_pattern(self):
+    def test_sparse_mode_is_plain_arithmetic(self):
         g, c = _random_gc(seed=6)
         assembler = SweepAssembler(g, c)
         assert assembler.mode == "sparse"
         _assert_bit_identical(
             assembler.at_omega(5.0), (g + 5.0j * c).tocsc()
+        )
+        _assert_bit_identical(
+            assembler.at_alpha(3.0), (3.0 * c + g).tocsc()
+        )
+        # Entry for entry the dense arithmetic, stored zeros pruned.
+        dense = SweepAssembler(g.toarray(), c.toarray())
+        assert np.array_equal(
+            assembler.at_omega(5.0).toarray(), dense.at_omega(5.0)
+        )
+        assert np.array_equal(
+            assembler.at_alpha(3.0).toarray(), dense.at_alpha(3.0)
         )

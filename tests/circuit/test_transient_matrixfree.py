@@ -1,14 +1,18 @@
-"""Transient Newton without dense materialization.
+"""Transient and DC Newton without dense materialization.
 
-With sparse matrices the per-step Newton iteration stamps the device
-Jacobian as a sparse update (never ``todense()``) and agrees with the
-dense formulation.
+With sparse matrices each Newton iteration stamps the device Jacobian
+as a sparse update (never ``todense()``) and agrees with the dense
+formulation.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.circuit import linalg
+from repro.circuit.dc import dc_operating_point
 from repro.circuit.devices import CMOSInverter
 from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import GROUND, Circuit
@@ -31,14 +35,16 @@ def _inverter_circuit():
 
 
 def _forced_format_system(circuit, fmt):
-    """MNASystem whose auto format resolves to ``fmt``.
+    """MNASystem whose (once-built) matrices come in ``fmt``.
 
-    The auto heuristic picks dense below 2500 unknowns, so small-n tests
-    pin the format explicitly to exercise the sparse path.
+    The format rule keeps small systems dense, so small-n tests build
+    them while the rule says sparse to exercise the sparse path.
     """
     system = MNASystem(circuit)
-    original = system.build_matrices
-    system.build_matrices = lambda _fmt="auto": original(fmt)
+    with mock.patch.object(
+        linalg, "sparse_pays", lambda *args: fmt == "sparse"
+    ):
+        system.build_matrices()
     return system
 
 
@@ -86,3 +92,21 @@ class TestSparseNewton:
         first = _run(_forced_format_system(circuit, "sparse"))
         second = _run(_forced_format_system(circuit, "sparse"))
         assert first.data.tobytes() == second.data.tobytes()
+
+    def test_sparse_dc_point_factors_sparse(self, monkeypatch):
+        formats = []
+        true_init = linalg.Factorization.__init__
+
+        def spy(self, matrix):
+            formats.append(sp.issparse(matrix))
+            true_init(self, matrix)
+
+        circuit = _inverter_circuit()
+        with inject_faults():
+            dense = dc_operating_point(_forced_format_system(circuit, "dense"))
+            monkeypatch.setattr(linalg.Factorization, "__init__", spy)
+            sparse = dc_operating_point(
+                _forced_format_system(circuit, "sparse")
+            )
+        assert formats and all(formats)
+        assert np.max(np.abs(dense - sparse)) < 1e-9

@@ -1,11 +1,17 @@
 """LRU cache, content-addressed extraction cache, and the transient
 factor cache."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.perf.cache import (
     LRUCache,
+    cache_size,
     cache_stats,
     clear_cache,
     fingerprint_segments,
@@ -62,6 +68,39 @@ class TestLRUCache:
         for k in range(1000):
             cache.put(float(k), object())
             assert len(cache) <= 16
+
+
+class TestCacheSize:
+    def test_unset_is_32(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_SIZE", raising=False)
+        assert cache_size() == 32
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "REPRO_CACHE_SIZE must be an integer, got 'abc'"),
+        ("0", "REPRO_CACHE_SIZE must be >= 1, got 0"),
+    ], ids=["abc", "0"])
+    def test_bad_value_names_the_variable(self, monkeypatch, raw, message):
+        monkeypatch.setenv("REPRO_CACHE_SIZE", raw)
+        with pytest.raises(ValueError) as exc:
+            cache_size()
+        assert str(exc.value) == message
+
+    def test_sweep_gate_exits_2_with_one_line(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        line = "sweep: REPRO_CACHE_SIZE must be an integer, got 'abc'"
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "abc")
+        assert main(["sweep", "--smoke"]) == 2
+        assert capsys.readouterr().out.splitlines() == [line]
+        # A fresh process fails importing the cache, at the same gate.
+        root = Path(__file__).resolve().parents[2]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--smoke"],
+            capture_output=True, text=True, timeout=120, cwd=str(root),
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert fresh.returncode == 2, fresh.stderr
+        assert fresh.stdout.splitlines() == [line]
 
 
 class TestFingerprint:
