@@ -16,8 +16,16 @@
 # compares.  Records go to `ab_parent.jsonl` and `ab_change.jsonl` under
 # AB_OUT (default: a new temporary directory); at the end it prints
 # `compare.py`'s table of medians, quartiles and verdicts, the
-# per-layer medians of the traced records, and per workload whether the
-# seed-0 outputs are `byte-identical` or their `max_rel_diff`.
+# per-layer medians of the traced records, one gain-rule line per
+# workload and end-to-end metric, and per workload whether the seed-0
+# outputs are `byte-identical` or their `max_rel_diff`.
+#
+# The gain rule: over the untraced records, matched by seed, the pairs
+# the change won (ties count for neither side), the gap between the two
+# medians (positive when the change is better) and the parent's
+# quartile spread (q3 - q1).  A line ends in `gain shown` when the
+# change won at least 9 in 10 pairs and the gap exceeds that spread.
+# The exit status is compare.py's.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
@@ -81,16 +89,52 @@ for workload in "${workloads[@]}"; do
 done
 
 echo "records: $out/ab_parent.jsonl $out/ab_change.jsonl" >&2
+status=0
 python3 "$change/benchmarks/e2e/compare.py" \
-    "$out/ab_parent.jsonl" "$out/ab_change.jsonl"
+    "$out/ab_parent.jsonl" "$out/ab_change.jsonl" || status=$?
 (cd "$change" && PYTHONPATH=src python3 - "$out" "${workloads[@]}" <<'EOF'
 import json
 import sys
 
 sys.path.insert(0, "benchmarks/e2e")
+from compare import quartiles
 from workloads import max_rel_diff
 
 out = sys.argv[1]
+
+
+def timed(side):
+    """``(workload, seed) -> metric -> value`` of one side's untraced runs."""
+    runs = {}
+    with open(f"{out}/ab_{side}.jsonl") as f:
+        for record in map(json.loads, filter(str.strip, f)):
+            if record["trace"] == 0:
+                runs[(record["workload"], record["seed"])] = {
+                    name: float(m["value"])
+                    for name, m in record["metrics"].items()}
+    return runs
+
+
+timed_parent, timed_change = timed("parent"), timed("change")
+spec = json.load(open("BENCHMARK.json"))
+print()
+for workload in sys.argv[2:]:
+    seeds = sorted(s for w, s in timed_parent
+                   if w == workload and (w, s) in timed_change)
+    if not seeds:
+        continue
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
+        a = [timed_parent[(workload, s)][name] for s in seeds]
+        b = [timed_change[(workload, s)][name] for s in seeds]
+        won = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+        q1, med_a, q3 = quartiles(a)
+        gap = sign * (med_a - quartiles(b)[1])
+        shown = 10 * won >= 9 * len(seeds) and gap > q3 - q1
+        print(f"gain rule  {workload:<16} {name:<12} won {won}/{len(seeds)}"
+              f"  gap {gap:+.4g} {m['unit']}  parent spread "
+              f"{q3 - q1:.4g} {m['unit']}  "
+              f"{'gain shown' if shown else 'no gain shown'}")
 print()
 for workload in sys.argv[2:]:
     parent, change = (
@@ -103,3 +147,4 @@ for workload in sys.argv[2:]:
     print(f"seed-0 outputs  {workload:<16} {verdict}")
 EOF
 )
+exit $status

@@ -32,6 +32,11 @@ dense or sparse arithmetic, or, for a matrix-free C, the
 falls back to the dense direct rungs -- recorded as a RunReport
 downgrade -- by materializing the operator exactly once.  The
 hierarchical loop sweep's mesh inductance is its one producer.
+
+A sweep of a symmetric-definite pencil -- SPD G, symmetric C, as the
+exact loop sweep's mesh system -- can skip the per-point factors:
+:func:`reduced_sweep` reduces the pencil to tridiagonal form once and
+solves every point in O(n).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from repro.circuit.blas import one_blas_thread
 from repro.obs import metrics as obs_metrics
@@ -844,3 +850,97 @@ class SweepAssembler:
     def at_alpha(self, alpha: float):
         """The companion system ``alpha C + G`` for one step size."""
         return alpha * self._c + self._g
+
+
+def reduced_sweep(
+    g_matrix: np.ndarray,
+    c_matrix: np.ndarray,
+    b: np.ndarray,
+    omegas: np.ndarray,
+) -> np.ndarray:
+    """``(G + j omega C) x = b`` at every omega, from one reduction.
+
+    For a dense SPD ``G`` and symmetric ``C`` the frequency response needs
+    one tridiagonal reduction of the pencil, not a factor per point
+    (Laub, "Efficient multivariable frequency response computations",
+    IEEE TAC 1981):
+
+    * factor ``G = L Lᵀ`` (``dpotrf``);
+    * reduce ``L⁻¹ C L⁻ᵀ = Q T Qᵀ``, ``T`` tridiagonal (``dsygst``,
+      ``dsytrd``; Q stays in its Householder reflectors);
+    * per point, solve ``(I + j omega T) y = Qᵀ L⁻¹ b``, O(n) (``zgtsv``);
+    * recover every ``x = L⁻ᵀ Q y`` in one product (``dormqr``,
+      ``dtrtrs``).
+
+    Every point is checked as the escalation chain checks its rescues:
+    finite, and ``max|Ax - b| / max|b|`` (:func:`_relative_residual`)
+    at most :data:`RESIDUAL_TOL`, computed for all points from ``G X``
+    and ``C X``.  Runs on one BLAS thread.
+
+    Args:
+        g_matrix: Dense SPD ``G``, shape ``(n, n)``, ``n >= 2``.
+        c_matrix: Dense symmetric ``C`` (only its lower triangle is read).
+        b: Real right-hand side, shape ``(n,)``.
+        omegas: Angular frequencies [rad/s].
+
+    Returns:
+        Complex solutions, shape ``(len(omegas), n)``.
+
+    Raises:
+        SingularCircuitError: If G is not positive definite, a
+            tridiagonal solve meets a zero pivot, or a point fails a
+            check; the caller then solves point by point.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, k = len(b), len(omegas)
+    with one_blas_thread():
+        chol, info = lapack.dpotrf(g_matrix, lower=1)
+        if info != 0:
+            raise SingularCircuitError(
+                f"G is not positive definite (dpotrf info {info})"
+            )
+        a, _ = lapack.dsygst(c_matrix, chol, itype=1, lower=1)
+        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+        a, diag, off, tau, _ = lapack.dsytrd(
+            a, lower=1, lwork=int(lwork), overwrite_a=1
+        )
+        # Q = diag(1, Q'), Q' the QR-form reflectors below the diagonal.
+        reflectors = np.asfortranarray(a[1:, :-1])
+
+        def apply_q(trans: str, rows: np.ndarray) -> np.ndarray:
+            lwork = lapack.dormqr("L", trans, reflectors, tau, rows[1:],
+                                  -1)[1][0]
+            rows[1:] = lapack.dormqr("L", trans, reflectors, tau, rows[1:],
+                                     int(lwork))[0]
+            return rows
+
+        rhs, _ = lapack.dtrtrs(chol, b[:, None], lower=1)
+        rhs = apply_q("T", rhs)[:, 0].astype(complex)
+        y = np.empty((n, 2 * k), order="F")
+        for p, omega in enumerate(omegas):
+            sub = 1j * omega * off
+            *_, yp, info = lapack.zgtsv(
+                sub, 1.0 + 1j * omega * diag, sub, rhs[:, None]
+            )
+            if info != 0:
+                raise SingularCircuitError(
+                    f"zero pivot {info} in the tridiagonal solve at "
+                    f"omega = {omega:.6g} rad/s"
+                )
+            y[:, p], y[:, k + p] = yp[:, 0].real, yp[:, 0].imag
+        x, _ = lapack.dtrtrs(chol, apply_q("N", y), lower=1, trans=1)
+        if not np.all(np.isfinite(x)):
+            raise SingularCircuitError("reduced sweep produced non-finite values")
+        gx, cx = g_matrix @ x, c_matrix @ x
+    x = x[:, :k] + 1j * x[:, k:]
+    r = gx[:, :k] + 1j * gx[:, k:] + 1j * omegas * (cx[:, :k] + 1j * cx[:, k:])
+    r -= b[:, None]
+    residual = np.abs(r).max(axis=0) / max(float(np.abs(b).max()), 1e-300)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= RESIDUAL_TOL:
+        raise SingularCircuitError(
+            f"reduced sweep residual {residual[worst]:.3e} at omega = "
+            f"{omegas[worst]:.6g} rad/s exceeds {RESIDUAL_TOL:.1e}"
+        )
+    return x.T

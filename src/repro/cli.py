@@ -235,11 +235,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         config = SupervisorConfig.from_env(
             deadline=args.deadline, time_budget=args.time_budget
         )
-        # Checks REPRO_CACHE_SIZE; in a fresh process the import itself
-        # raises, as the cache is sized at import.
-        from repro.perf.cache import cache_size
-
-        cache_size()
     except ValueError as exc:
         print(f"sweep: {exc}")
         return 2
@@ -489,6 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     p_an.set_defaults(func=_cmd_analyze)
 
     args = parser.parse_args(argv)
+    try:
+        # Checks REPRO_CACHE_SIZE for every command; in a fresh process
+        # the import itself raises, as the cache is sized at import.
+        from repro.perf.cache import cache_size
+
+        cache_size()
+    except ValueError as exc:
+        print(f"repro: {exc}")
+        return 2
     trace_json = getattr(args, "trace_json", None)
     if trace_json:
         import json

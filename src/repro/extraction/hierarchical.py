@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.extraction.inductance import self_inductance_bar
+from repro.extraction.inductance import KERNEL_REVISION, self_inductance_bar
 from repro.extraction.partial_matrix import (
     CLOSE_PAIR_CHUNK,
     _segment_arrays,
@@ -800,8 +800,9 @@ def extract_hierarchical(
 
     Memoized through the :mod:`repro.perf.cache` content-addressed store
     under a key that covers the exact geometry *and* every
-    value-affecting parameter -- ``eta``, ``tol``, ``leaf_size``, and
-    the close-pair settings -- so changing a knob always recomputes.
+    value-affecting parameter -- ``eta``, ``tol``, ``leaf_size``, the
+    close-pair settings and the kernel revision -- so changing a knob
+    or the kernel always recomputes.
     """
     reject_vias(segments)
     from repro.perf import cache as perf_cache
@@ -815,6 +816,7 @@ def extract_hierarchical(
             "leaf_size": int(leaf_size),
             "close_ratio": float(close_ratio),
             "close_subdivisions": int(close_subdivisions),
+            "kernel": KERNEL_REVISION,
         },
     )
     with span(

@@ -15,6 +15,8 @@ from a priori loop identification.  This module provides:
   a subdivision of both cross sections (the same discretization FastHenry
   uses).  Converges to the exact volume integral as the subdivision is
   refined; a single center filament is accurate for well-separated bars.
+  Bars of equal cross section average over their distinct sub-filament
+  separations only.
 
 All functions are vectorized over numpy arrays so that dense partial-L
 matrix assembly (100k+ mutual terms) stays fast.
@@ -158,12 +160,11 @@ def mutual_inductance_filaments_grover(length: float, rho: float) -> float:
     )
 
 
-def _filament_offsets(n: int, extent: float) -> np.ndarray:
-    """Centroid offsets of ``n`` equal slices of an interval of ``extent``."""
-    if n == 1:
-        return np.zeros(1)
-    edges = np.linspace(-extent / 2.0, extent / 2.0, n + 1)
-    return (edges[:-1] + edges[1:]) / 2.0
+#: Revision of the mutual-inductance kernel.  Any change that moves a
+#: mutual's bits bumps it: the extraction cache keys its digests on it,
+#: so a disk tier filled by an older kernel is never served.  Revision 2
+#: evaluates equal-section close pairs over their distinct separations.
+KERNEL_REVISION = 2
 
 
 def mutual_inductance_bars(
@@ -185,6 +186,8 @@ def mutual_inductance_bars(
     ``(d_width, d_thick)`` the transverse center-to-center offsets along the
     cross-section width and thickness axes.  The exact filament mutual is
     averaged over an ``n x n`` centroid subdivision of both cross sections.
+    One pair of :func:`mutual_inductance_bars_batch`, so the scalar and
+    the batched kernel agree bit for bit.
 
     Args:
         subdivisions: Cross-section slices per transverse axis.  ``None``
@@ -194,27 +197,17 @@ def mutual_inductance_bars(
     Returns:
         Mutual inductance; positive for co-directed currents.
     """
-    sep = math.hypot(d_width, d_thick)
-    max_cross = max(width1, thick1, width2, thick2)
     if subdivisions is None:
+        sep = math.hypot(d_width, d_thick)
+        max_cross = max(width1, thick1, width2, thick2)
         subdivisions = 1 if sep >= 4.0 * max_cross else 3
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be >= 1")
-
-    n = subdivisions
-    w_off1 = _filament_offsets(n, width1)
-    t_off1 = _filament_offsets(n, thick1)
-    w_off2 = _filament_offsets(n, width2)
-    t_off2 = _filament_offsets(n, thick2)
-
-    # All filament-pair transverse separations, vectorized.
-    dw = (d_width + w_off2[None, :] - w_off1[:, None]).ravel()
-    dt_pairs = (d_thick + t_off2[None, :] - t_off1[:, None]).ravel()
-    dws, dts = np.meshgrid(dw, dt_pairs, indexing="ij")
-    rho = np.hypot(dws, dts).ravel()
-
-    m = mutual_inductance_filaments(start1, end1, start2, end2, rho)
-    return float(np.mean(m))
+    pair = (np.array([value], dtype=float) for value in (
+        start1, end1, start2, end2, d_width, d_thick,
+        width1, thick1, width2, thick2,
+    ))
+    return float(mutual_inductance_bars_batch(
+        *pair, subdivisions=subdivisions
+    )[0])
 
 
 def mutual_inductance_bars_batch(
@@ -233,12 +226,17 @@ def mutual_inductance_bars_batch(
     """Batched :func:`mutual_inductance_bars` over ``P`` bar pairs [H].
 
     All ten geometry arguments are arrays of length ``P``; the result is
-    the length-``P`` array of bar-pair mutuals.  The evaluation is
-    bit-identical to calling :func:`mutual_inductance_bars` once per
-    pair: the per-pair filament offsets, transverse separations, and the
-    final mean reduce in exactly the same element order, so dense
-    assembly can batch its close-pair integrals without perturbing any
-    cached result.
+    the length-``P`` array of bar-pair mutuals.  Each pair's value is a
+    function of that pair alone: the path is chosen per pair, and every
+    reduction runs row by row, so a pair gives the same bits alone, in
+    any batch and in any slice of one.
+
+    A pair of equal cross sections has only ``(2n - 1)^2`` distinct
+    sub-filament separations among its ``n^4`` filament pairs: offset
+    ``a`` slices along the width and ``b`` along the thickness, shared by
+    ``(n - |a|)(n - |b|)`` pairs.  Those separations are evaluated once
+    and weighted by ``(n - |a|)(n - |b|) / n^4`` (25 instead of 81 at
+    ``n = 3``).  Other pairs average all ``n^4``.
     """
     if subdivisions < 1:
         raise ValueError("subdivisions must be >= 1")
@@ -246,42 +244,56 @@ def mutual_inductance_bars_batch(
     e1 = np.asarray(end1, dtype=float)
     s2 = np.asarray(start2, dtype=float)
     e2 = np.asarray(end2, dtype=float)
+    d_w = np.asarray(d_width, dtype=float)
+    d_t = np.asarray(d_thick, dtype=float)
     n = subdivisions
     if n == 1:
-        rho = np.hypot(np.asarray(d_width, dtype=float),
-                       np.asarray(d_thick, dtype=float))
-        m = mutual_inductance_filaments(s1, e1, s2, e2, rho)
+        m = mutual_inductance_filaments(s1, e1, s2, e2, np.hypot(d_w, d_t))
         return np.atleast_1d(np.asarray(m, dtype=float))
 
-    def offsets(extent: np.ndarray) -> np.ndarray:
-        # (P, n) centroid offsets; np.linspace with array endpoints runs
-        # the same start + k*step arithmetic as the scalar helper, so
-        # each row is bit-identical to _filament_offsets(n, extent[p]).
-        e = np.asarray(extent, dtype=float)
-        edges = np.linspace(-e / 2.0, e / 2.0, n + 1, axis=-1)
-        return (edges[..., :-1] + edges[..., 1:]) / 2.0
+    w1 = np.asarray(width1, dtype=float)
+    t1 = np.asarray(thick1, dtype=float)
+    w2 = np.asarray(width2, dtype=float)
+    t2 = np.asarray(thick2, dtype=float)
+    equal = (w1 == w2) & (t1 == t2)
+    out = np.empty(s1.shape)
 
-    w_off1 = offsets(width1)
-    t_off1 = offsets(thick1)
-    w_off2 = offsets(width2)
-    t_off2 = offsets(thick2)
+    k = np.flatnonzero(equal)
+    if k.size:
+        # Separations at offsets a, b = -(n-1) .. n-1 slices, the
+        # (P, (2n-1)^2) grid raveled width-major.
+        shift = np.arange(1 - n, n, dtype=float)
+        dw = d_w[k, None] + shift * (w1[k] / n)[:, None]
+        dt = d_t[k, None] + shift * (t1[k] / n)[:, None]
+        rho = np.hypot(dw[:, :, None], dt[:, None, :]).reshape(k.size, -1)
+        count = n - np.abs(shift)
+        weight = np.outer(count, count).ravel() / n ** 4
+        m = mutual_inductance_filaments(
+            s1[k, None], e1[k, None], s2[k, None], e2[k, None], rho
+        )
+        out[k] = (m * weight).sum(axis=1)
 
-    # (P, n*n) width/thickness filament-pair offsets, then the full
-    # (P, n^2 x n^2) separation grid -- the same meshgrid order the
-    # scalar path ravels.
-    dw = np.asarray(d_width, dtype=float)[:, None, None] \
-        + w_off2[:, None, :] - w_off1[:, :, None]
-    dt = np.asarray(d_thick, dtype=float)[:, None, None] \
-        + t_off2[:, None, :] - t_off1[:, :, None]
-    dw = dw.reshape(dw.shape[0], -1)
-    dt = dt.reshape(dt.shape[0], -1)
-    rho = np.hypot(dw[:, :, None], dt[:, None, :])
-    rho = rho.reshape(rho.shape[0], -1)
+    k = np.flatnonzero(~equal)
+    if k.size:
+        def offsets(extent: np.ndarray) -> np.ndarray:
+            # (P, n) centroid offsets of n equal slices of each extent.
+            edges = np.linspace(-extent / 2.0, extent / 2.0, n + 1, axis=-1)
+            return (edges[..., :-1] + edges[..., 1:]) / 2.0
 
-    m = mutual_inductance_filaments(
-        s1[:, None], e1[:, None], s2[:, None], e2[:, None], rho
-    )
-    return np.mean(np.asarray(m, dtype=float), axis=1)
+        # (P, n*n) width/thickness filament-pair offsets, then the full
+        # (P, n^2 x n^2) separation grid.
+        dw = d_w[k, None, None] + offsets(w2[k])[:, None, :] \
+            - offsets(w1[k])[:, :, None]
+        dt = d_t[k, None, None] + offsets(t2[k])[:, None, :] \
+            - offsets(t1[k])[:, :, None]
+        dw = dw.reshape(k.size, -1)
+        dt = dt.reshape(k.size, -1)
+        rho = np.hypot(dw[:, :, None], dt[:, None, :]).reshape(k.size, -1)
+        m = mutual_inductance_filaments(
+            s1[k, None], e1[k, None], s2[k, None], e2[k, None], rho
+        )
+        out[k] = np.mean(m, axis=1)
+    return out
 
 
 def mutual_between_segments(seg1, seg2, subdivisions: int | None = None) -> float:

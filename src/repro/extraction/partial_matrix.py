@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.extraction.inductance import (
+    KERNEL_REVISION,
     mutual_inductance_bars_batch,
     mutual_inductance_filaments,
     self_inductance_bar,
@@ -287,15 +288,17 @@ def extract_partial_inductance(
         )
 
     # Content-addressed memoization: the matrix is a pure function of the
-    # geometry and the close-pair parameters (``block`` only bounds peak
-    # memory, so it stays out of the key).  Import lazily -- repro.perf
-    # sits above the extraction layer in the package graph.
+    # geometry, the close-pair parameters and the kernel revision
+    # (``block`` only bounds peak memory, so it stays out of the key).
+    # Import lazily -- repro.perf sits above the extraction layer in the
+    # package graph.
     from repro.perf import cache as perf_cache
 
     digest = perf_cache.fingerprint_segments(
         segments,
         {"close_ratio": float(close_ratio),
-         "close_subdivisions": int(close_subdivisions)},
+         "close_subdivisions": int(close_subdivisions),
+         "kernel": KERNEL_REVISION},
     )
     with span("extraction.partial_L", segments=len(segments)) as sp:
         cached = perf_cache.load_matrix(digest)

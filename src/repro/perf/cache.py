@@ -7,9 +7,11 @@ layout recomputes it from scratch: the Table-1 comparison alone extracts
 the same power grid for the PEEC(RC), PEEC(RLC), and loop rows.  This
 module memoizes those results behind a *content address* -- a SHA-256
 fingerprint over the exact segment geometry (bit-exact float encoding,
-no rounding) plus every value-affecting parameter -- so a repeated
-extraction is a dictionary lookup, and any geometry or parameter change
-produces a different key and therefore a recompute, never a stale hit.
+no rounding) plus every value-affecting parameter, the kernel revision
+(:data:`~repro.extraction.inductance.KERNEL_REVISION`) included -- so a
+repeated extraction is a dictionary lookup, and any geometry, parameter
+or kernel change produces a different key and therefore a recompute,
+never a stale hit.
 
 Two storage tiers:
 

@@ -1,9 +1,12 @@
 """Frequency sweeps over ``(G + j omega C) x = b``, at any pool width.
 
-The Section-5 loop extraction and the AC engine both solve one dense (or
-sparse) system per frequency point -- an embarrassingly parallel sweep.
-:func:`parallel_sweep` is the one sweep loop behind
-:mod:`repro.loop.extractor` and :mod:`repro.circuit.ac`: it maps the
+The AC engine, and the Section-5 loop extraction point by point, solve
+one dense (or sparse) system per frequency point -- an embarrassingly
+parallel sweep.  (An exact loop sweep of 4 or more points instead solves
+every point from one tridiagonal reduction, in process; see
+:func:`~repro.circuit.linalg.reduced_sweep`.)  :func:`parallel_sweep` is
+the one sweep loop behind :mod:`repro.loop.extractor` and
+:mod:`repro.circuit.ac`: it maps the
 point solver over the frequency indices with
 :func:`~repro.resilience.supervisor.supervised_map` (stage ``"perf"``),
 which

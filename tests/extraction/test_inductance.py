@@ -202,6 +202,102 @@ class TestSegmentMutual:
         )
 
 
+def reference_bar_mutual(start1, end1, start2, end2, d_width, d_thick,
+                         width1, thick1, width2, thick2, subdivisions):
+    """The bar mutual as the mean over all n^4 filament pairs.
+
+    The kernel's definition, evaluated the direct way: every pair of
+    centroid filaments of the two ``n x n`` cross-section subdivisions.
+    """
+    def offsets(extent):
+        if subdivisions == 1:
+            return np.zeros(1)
+        edges = np.linspace(-extent / 2.0, extent / 2.0, subdivisions + 1)
+        return (edges[:-1] + edges[1:]) / 2.0
+
+    dw = (d_width + offsets(width2)[None, :]
+          - offsets(width1)[:, None]).ravel()
+    dt = (d_thick + offsets(thick2)[None, :]
+          - offsets(thick1)[:, None]).ravel()
+    dws, dts = np.meshgrid(dw, dt, indexing="ij")
+    rho = np.hypot(dws, dts).ravel()
+    return float(np.mean(
+        mutual_inductance_filaments(start1, end1, start2, end2, rho)
+    ))
+
+
+def random_bar_pairs(seed, count, equal_sections):
+    """Random close bar pairs; the first quarter touch side by side and
+    the next quarter are collinear neighbours along the axis."""
+    rng = np.random.default_rng(seed)
+    start1 = rng.uniform(0, 100e-6, count)
+    end1 = start1 + rng.uniform(20e-6, 300e-6, count)
+    start2 = rng.uniform(0, 100e-6, count)
+    end2 = start2 + rng.uniform(20e-6, 300e-6, count)
+    d_width = rng.uniform(1e-6, 30e-6, count)
+    d_thick = rng.uniform(0.0, 5e-6, count)
+    width1 = rng.uniform(0.5e-6, 10e-6, count)
+    thick1 = rng.uniform(0.2e-6, 2e-6, count)
+    width2 = width1.copy() if equal_sections else \
+        rng.uniform(0.5e-6, 10e-6, count)
+    thick2 = thick1.copy() if equal_sections else \
+        rng.uniform(0.2e-6, 2e-6, count)
+    q = count // 4
+    d_width[:q] = 0.5 * (width1[:q] + width2[:q])
+    d_thick[:q] = 0.0
+    d_width[q:2 * q] = 0.0
+    d_thick[q:2 * q] = 0.0
+    start2[q:2 * q] = end1[q:2 * q]
+    return (start1, end1, start2, end2, d_width, d_thick,
+            width1, thick1, width2, thick2)
+
+
+class TestEqualSectionKernel:
+    """Equal cross sections take the (2n-1)^2 distinct separations; the
+    n^4 mean of :func:`reference_bar_mutual` is the reference."""
+
+    @pytest.mark.parametrize("subdivisions", [2, 3, 5])
+    def test_matches_the_n4_mean(self, subdivisions):
+        args = random_bar_pairs(subdivisions, 400, equal_sections=True)
+        batched = mutual_inductance_bars_batch(
+            *args, subdivisions=subdivisions
+        )
+        reference = np.array([
+            reference_bar_mutual(*(a[k] for a in args), subdivisions)
+            for k in range(400)
+        ])
+        assert np.all(np.abs(batched - reference)
+                      <= 1e-13 * np.abs(reference))
+
+    @pytest.mark.parametrize("subdivisions", [2, 3, 5])
+    def test_unequal_sections_are_the_n4_mean_bit_for_bit(
+        self, subdivisions
+    ):
+        args = random_bar_pairs(10 + subdivisions, 64, equal_sections=False)
+        batched = mutual_inductance_bars_batch(
+            *args, subdivisions=subdivisions
+        )
+        for k in range(64):
+            assert batched[k] == reference_bar_mutual(
+                *(a[k] for a in args), subdivisions
+            )
+
+    def test_a_pair_has_the_same_bits_alone_and_in_a_mixed_batch(self):
+        equal = random_bar_pairs(21, 40, equal_sections=True)
+        unequal = random_bar_pairs(22, 40, equal_sections=False)
+        mixed = tuple(np.concatenate([a, b])[::-1]
+                      for a, b in zip(equal, unequal))
+        batched = mutual_inductance_bars_batch(*mixed, subdivisions=3)
+        for k in range(80):
+            alone = mutual_inductance_bars_batch(
+                *(a[k:k + 1] for a in mixed), subdivisions=3
+            )
+            assert alone[0] == batched[k]
+            assert mutual_inductance_bars(
+                *(a[k] for a in mixed), subdivisions=3
+            ) == batched[k]
+
+
 class TestBarMutualBatch:
     """Batched close-pair kernel must be bit-identical to the scalar one."""
 

@@ -88,7 +88,7 @@ class TestCacheSize:
     def test_sweep_gate_exits_2_with_one_line(self, monkeypatch, capsys):
         from repro.cli import main
 
-        line = "sweep: REPRO_CACHE_SIZE must be an integer, got 'abc'"
+        line = "repro: REPRO_CACHE_SIZE must be an integer, got 'abc'"
         monkeypatch.setenv("REPRO_CACHE_SIZE", "abc")
         assert main(["sweep", "--smoke"]) == 2
         assert capsys.readouterr().out.splitlines() == [line]
@@ -101,6 +101,26 @@ class TestCacheSize:
         )
         assert fresh.returncode == 2, fresh.stderr
         assert fresh.stdout.splitlines() == [line]
+
+    @pytest.mark.parametrize("command", [
+        ["loop", "--length", "200"], ["table1", "--die", "200"],
+    ], ids=["loop", "table1"])
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "REPRO_CACHE_SIZE must be an integer, got 'abc'"),
+        ("0", "REPRO_CACHE_SIZE must be >= 1, got 0"),
+    ], ids=["abc", "0"])
+    def test_every_command_exits_2_with_one_line(self, command, raw,
+                                                  message):
+        # A fresh process each: the cache is sized at import.
+        root = Path(__file__).resolve().parents[2]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *command],
+            capture_output=True, text=True, timeout=120, cwd=str(root),
+            env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                     REPRO_CACHE_SIZE=raw),
+        )
+        assert fresh.returncode == 2, fresh.stderr
+        assert fresh.stdout.splitlines() == [f"repro: {message}"]
 
 
 class TestFingerprint:
@@ -337,6 +357,81 @@ class TestExtractionMemoization:
         before = cache_stats()["misses"]
         extract_for_layout(layout, close_ratio=6.0)
         assert cache_stats()["misses"] > before
+
+
+class TestKernelRevision:
+    """The disk tier keys on the kernel revision: a directory filled by
+    an older kernel is never served, and a disk hit is a recompute."""
+
+    #: Each assembly's digest parameters without the kernel revision, as
+    #: they were keyed before it entered the key.
+    UNREVISED = {
+        "exact": {"close_ratio": 4.0, "close_subdivisions": 3},
+        "hierarchical": {
+            "assembly": "hierarchical", "eta": 2.0, "tol": 1e-6,
+            "leaf_size": 4, "close_ratio": 4.0, "close_subdivisions": 3,
+        },
+    }
+
+    @staticmethod
+    def extract(assembly):
+        from repro.extraction.partial_matrix import (
+            extract_partial_inductance,
+        )
+
+        kwargs = {"leaf_size": 4} if assembly == "hierarchical" else {}
+        return extract_partial_inductance(
+            TestOperatorStore.stripe_segments(), assembly=assembly, **kwargs
+        ).matrix
+
+    @pytest.mark.parametrize("assembly", ["exact", "hierarchical"])
+    def test_unrevised_digest_is_never_served(
+        self, fresh_cache, tmp_path, monkeypatch, assembly
+    ):
+        from repro.perf.cache import store_operator
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        stale = fingerprint_segments(
+            TestOperatorStore.stripe_segments(), self.UNREVISED[assembly]
+        )
+        fresh = self.extract(assembly)
+        (written,) = tmp_path.iterdir()
+        assert stale not in written.name
+        clear_cache()
+        # Plant a wrong result under the unrevised digest.
+        if assembly == "exact":
+            store_matrix(stale, np.zeros_like(fresh))
+        else:
+            from repro.extraction.hierarchical import (
+                build_hierarchical_operator,
+            )
+
+            store_operator(stale, build_hierarchical_operator(
+                TestOperatorStore.stripe_segments()[:4], leaf_size=4
+            ))
+        clear_cache()
+        assert np.array_equal(self.extract(assembly), fresh)
+
+    @pytest.mark.parametrize("assembly", ["exact", "hierarchical"])
+    def test_disk_hit_equals_a_recompute(
+        self, fresh_cache, tmp_path, monkeypatch, assembly
+    ):
+        from repro.perf.cache import operator_cache_stats
+
+        def disk_hits():
+            return cache_stats()["disk_hits"] + \
+                operator_cache_stats()["disk_hits"]
+
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_EXTRACTION_CACHE", "off")
+            recomputed = self.extract(assembly)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self.extract(assembly)
+        clear_cache()
+        before = disk_hits()
+        served = self.extract(assembly)
+        assert disk_hits() == before + 1
+        assert np.array_equal(served, recomputed)
 
 
 class TestFactorCacheIntegration:

@@ -134,17 +134,21 @@ class TestACParallelEqualsSerial:
 
 
 class TestLoopParallelEqualsSerial:
+    # An exact sweep of 4 or more points solves from one reduction, in
+    # process; the hierarchical sweep reaches the pool at every size.
     def test_figure3_sweep_bit_identical(self, signal_grid_structure):
         layout, ports = signal_grid_structure
         freqs = np.logspace(7, 10.7, 8)
         with inject_faults():
             serial = extract_loop_impedance(
                 layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=1,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=1,
             )
             parallel = extract_loop_impedance(
                 layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=3,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=3,
             )
         assert np.array_equal(serial.impedance, parallel.impedance)
 
@@ -156,7 +160,8 @@ class TestLoopParallelEqualsSerial:
             results = [
                 extract_loop_impedance(
                     layout, make_port(ports), freqs,
-                    max_segment_length=150e-6, workers=w,
+                    max_segment_length=150e-6, assembly="hierarchical",
+                    workers=w,
                 ).impedance
                 for w in (1, 2, 4)
             ]
@@ -165,18 +170,21 @@ class TestLoopParallelEqualsSerial:
 
 
 class TestPoolDegradation:
+    # Hierarchical, so that the multi-point sweep reaches the pool.
     def test_pool_fault_degrades_to_serial(self, signal_grid_structure):
         layout, ports = signal_grid_structure
         freqs = np.logspace(8, 10, 5)
         with inject_faults():
             reference = extract_loop_impedance(
                 layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=1,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=1,
             )
         with inject_faults(FaultSpec("perf.pool", "raise", probability=1.0)):
             degraded = extract_loop_impedance(
                 layout, make_port(ports), freqs,
-                max_segment_length=150e-6, workers=3,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=3,
             )
         assert np.array_equal(reference.impedance, degraded.impedance)
         downgrades = degraded.report.by_kind("downgrade")

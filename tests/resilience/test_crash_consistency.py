@@ -3,6 +3,8 @@
 The scenario-store side lives in ``tests/scenarios/test_crash_consistency``;
 this module covers the sweep side: a parallel loop-impedance sweep that
 loses a worker mid-flight still matches the serial sweep bit for bit.
+The sweep is hierarchical: an exact sweep of this many points solves
+from one reduction, in process, and reaches no pool.
 """
 
 import os
@@ -47,14 +49,16 @@ class TestWorkerKill:
         with inject_faults():
             baseline = extract_loop_impedance(
                 layout, _port(ports), FREQS,
-                max_segment_length=150e-6, workers=1,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=1,
             )
         monkeypatch.setattr(faults, "maybe_disrupt", crash_once)
         monkeypatch.setenv("REPRO_DEADLINE", "30")  # harmless; exercises plumbing
         with inject_faults():
             survived = extract_loop_impedance(
                 layout, _port(ports), FREQS,
-                max_segment_length=150e-6, workers=2,
+                max_segment_length=150e-6, assembly="hierarchical",
+                workers=2,
             )
         assert marker.exists()  # the worker really died
         assert np.array_equal(survived.impedance, baseline.impedance)
